@@ -11,14 +11,14 @@ phase carries instead a smooth power-law correction whose exponent is fitted.
 from mpmath import mp, mpf, pi
 
 from sixvertex import (Precision, ode_check, phase_params, smooth_fit_D,
-                       subleading_AF_fit, tau_scaled)
+                       subleading_AF_fit, tau_sequence)
 
 p = Precision(320)
 
 print("== modulated ratios r_N (af, gamma=1, zeta=0) ==")
 with mp.workprec(352):
     prm = phase_params("af", mpf(0), mpf(1), p)
-taus = [tau_scaled(prm, n, p) for n in range(2, 17)]
+taus = tau_sequence(prm, 16, p)[1:]          # N = 2..16
 ratios, spread = subleading_AF_fit(taus, prm, p)
 raw, spread_raw = subleading_AF_fit(taus, prm, p, subtract_theta=False)
 print("   N   with theta_4        without (control)")
@@ -45,7 +45,7 @@ print(f"  af, theta-modulated (N=6): residual = "
 print("\n== disordered phase: smooth correction exponent (ice point) ==")
 with mp.workprec(352):
     ice = phase_params("d", mpf(0), pi / 3, p)
-taus_d = [tau_scaled(ice, n, p) for n in range(6, 21)]
+taus_d = tau_sequence(ice, 20, p)[5:]        # N = 6..20
 kappa, const, resid = smooth_fit_D(taus_d, ice, p)
 print(f"  r_N ~ kappa log N + const: kappa = {kappa:.5f}, const = {const:.5f}"
       f" (max fit residual {resid:.2e})")

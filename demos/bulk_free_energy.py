@@ -10,7 +10,7 @@ combination of the saddle geometry.
 from mpmath import mp, mpf, exp, pi
 
 from sixvertex import (Precision, bulk_f, dfdzeta, endpoints, phase_params,
-                       tau_scaled)
+                       tau_sequence)
 
 p = Precision(256)
 
@@ -27,8 +27,9 @@ print("\n== finite-N drift toward f (af, gamma=1, zeta=0.3) ==")
 with mp.workprec(288):
     prm = phase_params("af", mpf("0.3"), mpf("1.0"), p)
 fe = bulk_f(prm, p)
+taus = tau_sequence(prm, 16, p)
 for n in (2, 4, 8, 12, 16):
-    tv = tau_scaled(prm, n, p)
+    tv = taus[n - 1]
     with mp.workprec(288):
         approx = mpf(tv.log_scaled) / n ** 2
         rel = (approx - mpf(fe.f)) / mpf(fe.f)

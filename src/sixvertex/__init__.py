@@ -16,8 +16,9 @@ from .specfun import (EllipticData, elliptic_K, elliptic_E,
                       jacobi_zeta_from_E, theta, theta1_prime_zero)
 from .exactcore import (PhaseParams, Weights, DerivativeTable, TauValue,
                         PHASES, phase_params, weights_from, phi_derivatives,
-                        tau_scaled, partition_Z, tau_discrete_sum,
-                        toda_residual, laplace_moment_check, c_factor)
+                        tau_scaled, tau_sequence, partition_Z,
+                        tau_discrete_sum, toda_residual, laplace_moment_check,
+                        c_factor)
 from .oracle import (ArrowGrid, EnumResult, enumerate_dwbc, configurations,
                      Z_bruteforce, asm_count)
 from .asymptotics import (SaddleGeometry, endpoints, chemb_residual,
@@ -39,7 +40,7 @@ __all__ = [
     "theta1_prime_zero",
     "PhaseParams", "Weights", "DerivativeTable", "TauValue", "PHASES",
     "phase_params", "weights_from", "phi_derivatives", "tau_scaled",
-    "partition_Z", "tau_discrete_sum", "toda_residual",
+    "tau_sequence", "partition_Z", "tau_discrete_sum", "toda_residual",
     "laplace_moment_check", "c_factor",
     "ArrowGrid", "EnumResult", "enumerate_dwbc", "configurations",
     "Z_bruteforce", "asm_count",

@@ -5,7 +5,8 @@ from .geometry import SaddleGeometry, endpoints, chemb_residual
 from .freenergy import (FreeEnergy, bulk_f, dfdzeta, f_small_gamma, F_modular,
                         ode_check)
 from .resolvent import (DensityProfile, resolvent, density,
-                        density_normalization, rho_at, saddle_residual)
+                        density_normalization, rho_at, saddle_residual,
+                        support_and_saturation)
 from .fits import subleading_AF_fit, smooth_fit_D
 
 __all__ = [
@@ -13,6 +14,6 @@ __all__ = [
     "FreeEnergy", "bulk_f", "dfdzeta", "f_small_gamma", "F_modular",
     "ode_check",
     "DensityProfile", "resolvent", "density", "density_normalization",
-    "rho_at", "saddle_residual",
+    "rho_at", "saddle_residual", "support_and_saturation",
     "subleading_AF_fit", "smooth_fit_D",
 ]

@@ -20,7 +20,7 @@ from mpmath import mp, mpf, cos, sin, exp, log, pi, sinh, cosh, tan
 
 from ..errors import CutoffTooSmallError, PhaseDomainError
 from ..exactcore import PHASE_AF, PHASE_D, PHASE_FE, PhaseParams, weights_from
-from ..precision import Precision, rounded
+from ..precision import Precision, central_differences, rounded
 from ..specfun import elliptic_data_from_gamma, theta, theta1_prime_zero
 from .geometry import endpoints
 
@@ -150,14 +150,10 @@ def F_modular(params: PhaseParams, m_max: int, p: Precision = Precision()):
     return rounded(total, p)
 
 
-def _second_derivative(fun, x0, h):
-    return (-fun(x0 + 2 * h) + 16 * fun(x0 + h) - 30 * fun(x0)
-            + 16 * fun(x0 - h) - fun(x0 - 2 * h)) / (12 * h ** 2)
-
-
-def _first_derivative(fun, x0, h):
-    return (-fun(x0 + 2 * h) + 8 * fun(x0 + h)
-            - 8 * fun(x0 - h) + fun(x0 - 2 * h)) / (12 * h)
+def _derivatives(fun, x0, h):
+    """f(x0), f'(x0) and f''(x0) from five samples at step h."""
+    vals = [fun(x0 + i * h) for i in (-2, -1, 0, 1, 2)]
+    return (vals[2],) + central_differences(vals, h)
 
 
 def ode_check(params: PhaseParams, p: Precision = Precision(), n: int = 6,
@@ -185,8 +181,8 @@ def ode_check(params: PhaseParams, p: Precision = Precision(), n: int = 6,
                 fun = lambda tt: -log(sinh(tt - abs(g)))
             else:
                 fun = lambda tt: log((pi / (2 * g)) / cos(pi * tt / (2 * g)))
-            resid = (_second_derivative(fun, t0, h) - exp(2 * fun(t0))) \
-                / exp(2 * fun(t0))
+            f0, _, d2 = _derivatives(fun, t0, h)
+            resid = (d2 - exp(2 * f0)) / exp(2 * f0)
             return rounded(abs(resid), p)
 
         ell = elliptic_data_from_gamma(g, pw)
@@ -197,8 +193,8 @@ def ode_check(params: PhaseParams, p: Precision = Precision(), n: int = 6,
             return log((pi / (2 * g)) * th1p / theta(2, pi * tt / (2 * g), q, pw))
 
         if not theta_factor:
-            resid = (_second_derivative(f_of_t, t0, h) - exp(2 * f_of_t(t0))) \
-                / exp(2 * f_of_t(t0))
+            f0, _, d2 = _derivatives(f_of_t, t0, h)
+            resid = (d2 - exp(2 * f0)) / exp(2 * f0)
             return rounded(abs(resid), p)
 
         if n < 1:
@@ -212,9 +208,7 @@ def ode_check(params: PhaseParams, p: Precision = Precision(), n: int = 6,
             arg = (pi / 2) * (1 + tt / g) * N
             return cn * exp(N * N * f_of_t(tt)) * theta(4, arg, q, pw)
 
-        a_mid = big_a(n, t0)
-        d1 = _first_derivative(lambda tt: big_a(n, tt), t0, h)
-        d2 = _second_derivative(lambda tt: big_a(n, tt), t0, h)
+        a_mid, d1, d2 = _derivatives(lambda tt: big_a(n, tt), t0, h)
         rhs = big_a(n + 1, t0) * big_a(n - 1, t0)
         resid = (a_mid * d2 - d1 ** 2 - rhs) / rhs
         return rounded(abs(resid), p)

@@ -147,7 +147,12 @@ def rho_at(params: PhaseParams, geom: SaddleGeometry, mu,
     return rounded(out, p)
 
 
-def _support_and_saturation(params, geom):
+def support_and_saturation(params: PhaseParams, geom: SaddleGeometry):
+    """((lo, hi), saturated intervals, bound) of the limiting density.
+
+    Evaluate in a working-precision context; see :class:`DensityProfile`
+    for the bound.
+    """
     if params.phase == PHASE_FE:
         lo_s = min(mpf(geom.alpha), mpf(geom.beta))
         hi = max(mpf(geom.alpha), mpf(geom.beta))
@@ -165,7 +170,7 @@ def density(params: PhaseParams, geom: SaddleGeometry, grid_size: int,
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     with p.work():
-        (lo, hi), sat, bound = _support_and_saturation(params, geom)
+        (lo, hi), sat, bound = support_and_saturation(params, geom)
         step = (hi - lo) / grid_size
         grid = []
         for i in range(grid_size):
@@ -186,7 +191,7 @@ def density_normalization(params: PhaseParams, geom: SaddleGeometry,
     well away from its cuts.
     """
     with p.work():
-        (lo, hi), sat, _ = _support_and_saturation(params, geom)
+        (lo, hi), sat, _ = support_and_saturation(params, geom)
         if params.phase in (PHASE_FE, PHASE_D):
             pts = [lo] + [x for iv in sat for x in iv if lo < x < hi] + [hi]
             if params.phase == PHASE_D:

@@ -31,9 +31,10 @@ from mpmath import mp, mpf, sqrt, pi
 from . import asymptotics
 from .errors import SixVertexError, PhaseDomainError
 from .exactcore import (PHASES, laplace_moment_check, partition_Z,
-                        phase_params, tau_scaled, toda_residual, weights_from)
+                        phase_params, tau_sequence, toda_residual,
+                        weights_from, z_from_tau)
 from .oracle import Z_bruteforce
-from .precision import Precision
+from .precision import Precision, rounded
 from .specfun import (elliptic_E, elliptic_K, elliptic_data_from_gamma,
                       jacobi_sn_cn_dn, jacobi_zeta, theta, theta1_prime_zero)
 
@@ -124,17 +125,6 @@ def _params_from_args(args, p):
 # ---------------------------------------------------------------------------
 
 
-def _exact_row(job):
-    phase, t, gamma, n, bits = job
-    p = Precision(bits)
-    prm = phase_params(phase, t, gamma, p)
-    tv = tau_scaled(prm, n, p)
-    z = partition_Z(prm, n, p)
-    with p.work():
-        logz_n2 = mp.log(z) / n ** 2
-    return (n, _fmt(tv.log_scaled, bits), _fmt(z, bits), _fmt(logz_n2, bits))
-
-
 def _bulk_row(job):
     phase, t, gamma, bits = job
     p = Precision(bits)
@@ -168,14 +158,24 @@ def _map_jobs(fn, jobs, n_workers):
 # ---------------------------------------------------------------------------
 
 
+def _taus(prm, ns, p):
+    """tau_N/c_N for each N of a range, all from one tau_sequence call."""
+    if ns[0] < 1:
+        raise ValueError("N must be >= 1")
+    seq = tau_sequence(prm, ns[-1], p)
+    return [seq[n - 1] for n in ns]
+
+
 def cmd_exact(args):
     p = Precision(args.bits)
-    prm = _params_from_args(args, p)   # validate before fanning out
-    t_str, g_str = _carry(prm.t, args.bits), _carry(prm.gamma, args.bits)
-    ns = parse_int_range(args.n)
-    rows = _map_jobs(_exact_row, [(prm.phase, t_str, g_str, n, args.bits)
-                                  for n in ns], args.jobs)
-    rows.sort(key=lambda r: r[0])
+    prm = _params_from_args(args, p)
+    rows = []
+    for tv in _taus(prm, parse_int_range(args.n), p):
+        z = z_from_tau(prm, tv, p)
+        with p.work():
+            logz_n2 = mp.log(z) / tv.n ** 2
+        rows.append((tv.n, _fmt(tv.log_scaled, args.bits), _fmt(z, args.bits),
+                     _fmt(logz_n2, args.bits)))
     header = ["N", "log_tau_scaled", "Z", "log_Z_over_N2"]
     meta = {"phase": prm.phase, "t": _fmt(prm.t, args.bits),
             "gamma": _fmt(prm.gamma, args.bits), "bits": args.bits,
@@ -210,9 +210,9 @@ def cmd_density(args):
     p = Precision(args.bits)
     prm = _params_from_args(args, p)
     geom = asymptotics.endpoints(prm, p)
-    prof = asymptotics.density(prm, geom, 2, p)   # support/saturation only
-    (lo, hi) = prof.support
     with p.work():
+        (lo, hi), sat, bound = asymptotics.support_and_saturation(prm, geom)
+        lo, hi = rounded(lo, p), rounded(hi, p)
         step = (mpf(hi) - mpf(lo)) / args.grid
         mus = [_carry(mpf(lo) + (i + mpf(1) / 2) * step, args.bits)
                for i in range(args.grid)]
@@ -225,12 +225,11 @@ def cmd_density(args):
         "gamma": _fmt(prm.gamma, args.bits), "bits": args.bits,
         "support": [_fmt(lo, args.bits), _fmt(hi, args.bits)],
         "saturated_intervals": [[_fmt(a, args.bits), _fmt(b, args.bits)]
-                                for (a, b) in prof.saturated_intervals],
-        "bound": "inf" if prof.bound == mp.inf else _fmt(prof.bound, args.bits),
+                                for (a, b) in sat],
+        "bound": "inf" if bound == mp.inf else _fmt(bound, args.bits),
     }
     if args.format == "csv":
         # annotate saturation in-band for plot-ready CSV
-        sat = prof.saturated_intervals
         rows = [(mu, rho,
                  int(any(mpf(a) <= mpf(mu) <= mpf(b) for (a, b) in sat)))
                 for (mu, rho) in rows]
@@ -243,7 +242,7 @@ def cmd_fit(args):
     p = Precision(args.bits)
     prm = _params_from_args(args, p)
     ns = parse_int_range(args.n)
-    taus = [tau_scaled(prm, n, p) for n in ns]
+    taus = _taus(prm, ns, p)
     if prm.phase == "af":
         ratios, spread = asymptotics.subleading_AF_fit(taus, prm, p)
         rows = [(n, _fmt(r, args.bits)) for n, r in zip(ns, ratios)]
@@ -396,7 +395,7 @@ def build_parser():
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", help="write output to this path instead of stdout")
         sp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for grids/ranges")
+                        help="worker processes for bulk and density rows")
         sp.add_argument("--config", help="JSON file with defaults for these flags")
         if phase:
             # not argparse-required so that --config can supply them

@@ -7,7 +7,12 @@ Boltzmann weights, the integer-coefficient derivative recurrence, the scaled
 determinant tau_N / c_N with c_N = (prod_{n<N} n!)^2, the partition function
 Z_N = (a*b)^(N^2) * tau_N / c_N, independent discrete-sum and Laplace-moment
 cross-checks, and the bilinear (Toda-type) residual in t.
-"""
+
+tau_N / c_N is the leading N x N principal minor of one scaled Hankel matrix
+phi^(i+k)/(i! k!).  phi is the Laplace transform of a positive measure in
+all three phases, so that matrix is a moment matrix, positive definite up to
+an overall sign, and unpivoted LDL^T elimination needs no row exchanges: a
+single pass yields tau_1/c_1 .. tau_N/c_N at once (:func:`tau_sequence`)."""
 
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from .errors import (
     PrecisionExhaustedError,
     QuadratureError,
 )
-from .precision import Precision, rounded
+from .precision import Precision, central_differences, rounded
 
 PHASE_FE = "fe"
 PHASE_D = "d"
@@ -193,7 +198,7 @@ def phi_derivatives(params: PhaseParams, order_max: int,
 
 
 # ---------------------------------------------------------------------------
-# Scaled Hankel determinant
+# Scaled Hankel determinants: every leading minor from one LDL^T pass
 # ---------------------------------------------------------------------------
 
 
@@ -214,72 +219,94 @@ def c_factor(N: int) -> int:
     return prod * prod
 
 
-def _det_pivoted(rows, p: Precision):
-    """Determinant by partially pivoted elimination with a cancellation
-    sentinel: the run aborts if the largest intermediate exceeds the pivot
-    product by 2**(bits-32) (Hankel matrices can cancel catastrophically)."""
-    n = len(rows)
-    sign = 1
-    max_mag = max(abs(x) for row in rows for x in row)
-    for col in range(n):
-        piv_row = max(range(col, n), key=lambda r: abs(rows[r][col]))
-        if rows[piv_row][col] == 0:
-            return mpf(0)
-        if piv_row != col:
-            rows[col], rows[piv_row] = rows[piv_row], rows[col]
-            sign = -sign
-        piv = rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] / piv
-            if factor:
-                row_r, row_c = rows[r], rows[col]
-                for cidx in range(col, n):
-                    row_r[cidx] -= factor * row_c[cidx]
-                    mag = abs(row_r[cidx])
-                    if mag > max_mag:
-                        max_mag = mag
-    det = mpf(sign)
-    for i in range(n):
-        det *= rows[i][i]
-    if det and max_mag / abs(det) > mpf(2) ** (p.bits - 32):
-        raise PrecisionExhaustedError(
-            f"determinant cancellation ratio {mp.nstr(max_mag / abs(det), 5)} "
-            f"exceeds 2**(bits-32); increase Precision.bits")
-    return det
+def _leading_minors(rows, p: Precision):
+    """Leading principal minors of a symmetric matrix by unpivoted LDL^T.
 
-
-def tau_scaled(params: PhaseParams, N: int, p: Precision = Precision(),
-               table: DerivativeTable | None = None) -> TauValue:
-    """tau_N / c_N as the determinant of phi^(i+k-2)/((i-1)!(k-1)!).
-
-    Dividing row i by (i-1)! and column k by (k-1)! keeps the matrix entries
-    of comparable size and cancels c_N exactly against the raw Hankel
-    determinant.
+    Only the lower triangle, rows[i][0..i], is read, and it is overwritten.
+    The minor of order N is the product of the first N pivots.  A
+    cancellation sentinel guards every order N: the run aborts if the
+    largest magnitude that any entry of the leading N x N block ever held,
+    original or updated, exceeds the minor by 2**(bits-32).
     """
-    if N < 1:
+    n = len(rows)
+    peak = [max(abs(x) for x in row[:i + 1]) for i, row in enumerate(rows)]
+    for k in range(n):
+        piv = rows[k][k]
+        if not piv:
+            raise PrecisionExhaustedError(
+                f"zero pivot at order {k + 1}; increase Precision.bits")
+        col = [rows[j][k] for j in range(k + 1, n)]
+        for i in range(k + 1, n):
+            row_i = rows[i]
+            factor = row_i[k] / piv
+            if factor:
+                updated = [x - factor * y
+                           for x, y in zip(row_i[k + 1:i + 1], col)]
+                row_i[k + 1:i + 1] = updated
+                peak[i] = max(peak[i], max(map(abs, updated)))
+    limit = mpf(2) ** (p.bits - 32)
+    minors = []
+    det = mpf(1)
+    block_peak = mpf(0)
+    for k in range(n):
+        det *= rows[k][k]
+        block_peak = max(block_peak, peak[k])
+        if block_peak / abs(det) > limit:
+            raise PrecisionExhaustedError(
+                f"determinant cancellation ratio "
+                f"{mp.nstr(block_peak / abs(det), 5)} at order {k + 1} "
+                f"exceeds 2**(bits-32); increase Precision.bits")
+        minors.append(det)
+    return minors
+
+
+def tau_sequence(params: PhaseParams, N_max: int,
+                 p: Precision = Precision()) -> list:
+    """tau_N / c_N for N = 1..N_max, as leading minors of one matrix.
+
+    tau_N / c_N is the leading N x N principal minor of the scaled Hankel
+    matrix phi^(i+k)(t) / (i! k!), i, k >= 0.  Dividing row i by i! and
+    column k by k! keeps the entries of comparable size and cancels c_N
+    exactly against the raw Hankel determinant.  phi is the Laplace
+    transform of a positive measure in every phase (the mode weights of
+    :func:`tau_discrete_sum`, the density of :func:`laplace_moment_check`),
+    so the matrix is a positive definite moment matrix, up to an overall
+    sign, and needs no pivoting: one LDL^T pass over the N_max x N_max
+    matrix, built from a single phi table of order 2*N_max - 2, yields
+    every tau_N / c_N as a product of leading pivots.
+    """
+    if N_max < 1:
         raise ValueError("N must be >= 1")
-    order = 2 * N - 2
-    if table is None or table.order_max < order or table.params != params:
-        table = phi_derivatives(params, order, Precision(p.bits + 64))
+    table = phi_derivatives(params, 2 * N_max - 2, Precision(p.bits + 64))
     with mp.workprec(p.bits + 64):
-        rows = []
-        for i in range(N):
-            fact_i = mpf(factorial(i))
-            rows.append([mpf(table.values[i + k]) / (fact_i * factorial(k))
-                         for k in range(N)])
-        det = _det_pivoted(rows, p)
-        logdet = log(det)
-    return TauValue(N, rounded(det, p), rounded(logdet, p))
+        rows = [[table.values[i + k] / (factorial(i) * factorial(k))
+                 for k in range(i + 1)] for i in range(N_max)]
+        return [TauValue(n, rounded(det, p), rounded(log(det), p))
+                for n, det in enumerate(_leading_minors(rows, p), 1)]
 
 
-def partition_Z(params: PhaseParams, N: int, p: Precision = Precision(),
-                table: DerivativeTable | None = None):
-    """Z_N = (a*b)^(N^2) * tau_N / c_N."""
+def tau_scaled(params: PhaseParams, N: int,
+               p: Precision = Precision()) -> TauValue:
+    """tau_N / c_N, the last leading minor of :func:`tau_sequence`.
+
+    Callers that need several N should take them from one tau_sequence
+    call: it costs the same as its largest N.
+    """
+    return tau_sequence(params, N, p)[-1]
+
+
+def z_from_tau(params: PhaseParams, tau: TauValue,
+               p: Precision = Precision()):
+    """Z_N = (a*b)^(N^2) * tau_N / c_N from a computed tau_N / c_N."""
     w = weights_from(params, Precision(p.bits + 64))
-    tv = tau_scaled(params, N, p, table=table)
     with p.work():
-        out = (mpf(w.a) * mpf(w.b)) ** (N * N) * mpf(tv.scaled_tau)
+        out = (mpf(w.a) * mpf(w.b)) ** (tau.n * tau.n) * mpf(tau.scaled_tau)
     return rounded(out, p)
+
+
+def partition_Z(params: PhaseParams, N: int, p: Precision = Precision()):
+    """Z_N = (a*b)^(N^2) * tau_N / c_N."""
+    return z_from_tau(params, tau_scaled(params, N, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -386,19 +413,15 @@ def toda_residual(params: PhaseParams, N: int, p: Precision = Precision()):
     else:
         raise PhaseDomainError("differentiation stencil leaves the phase region")
 
-    def s(prm, n):
-        if n == 0:
-            return mpf(1)
-        return mpf(tau_scaled(prm, n, pw).scaled_tau)
-
     with pw.work():
-        vals = [s(prm, N) for prm in stencil]
-        d1 = (-vals[4] + 8 * vals[3] - 8 * vals[1] + vals[0]) / (12 * h)
-        d2 = (-vals[4] + 16 * vals[3] - 30 * vals[2] + 16 * vals[1] - vals[0]) \
-            / (12 * h ** 2)
-        center = stencil[2]
+        # s_0 = 1 .. s_{N+1} at the centre from one sequence
+        s = [mpf(1)] + [mpf(tv.scaled_tau)
+                        for tv in tau_sequence(stencil[2], N + 1, pw)]
+        vals = [s[N] if i == 2 else mpf(tau_scaled(prm, N, pw).scaled_tau)
+                for i, prm in enumerate(stencil)]
+        d1, d2 = central_differences(vals, h)
         lhs = vals[2] * d2 - d1 ** 2
-        rhs = _scaled_toda_factor(N) * s(center, N + 1) * s(center, N - 1)
+        rhs = _scaled_toda_factor(N) * s[N + 1] * s[N - 1]
         resid = abs(lhs - rhs) / abs(rhs)
     return rounded(resid, p)
 

@@ -35,10 +35,16 @@ for _pat in _B_TYPE:
 for _pat in _C_TYPE:
     _VERTEX_KIND[_pat] = 2
 
-# (h_left, v_above) -> list of (h_right, v_below, kind)
+# (h_left, v_above, last column, last row) -> list of (h_right, v_below, kind);
+# the right boundary arrows exit and the bottom boundary arrows enter (up)
 _CHOICES = {}
 for _pat, _kind in _VERTEX_KIND.items():
-    _CHOICES.setdefault((_pat[0], _pat[2]), []).append((_pat[1], _pat[3], _kind))
+    for _last_col in (False, True):
+        for _last_row in (False, True):
+            _key = (_pat[0], _pat[2], _last_col, _last_row)
+            _CHOICES.setdefault(_key, [])
+            if (_pat[1] or not _last_col) and (_pat[3] or not _last_row):
+                _CHOICES[_key].append((_pat[1], _pat[3], _kind))
 
 
 @dataclass(frozen=True)
@@ -66,6 +72,38 @@ class EnumResult:
     config_count: int
 
 
+def _ice_states(N: int):
+    """Depth-first sweep over the DWBC ice states of an N x N lattice.
+
+    Vertices are visited row by row.  Each takes one of the ice-rule choices
+    (h_right, v_below, kind) that its left and upper edges allow, and the
+    boundary arrows prune the last column and the last row on the spot.
+    Yields once per state the N*N chosen triples in row-major order and the
+    running (n_a, n_b, n_c) census.  Both lists are updated in place, so a
+    caller copies what it keeps.
+    """
+    if not 1 <= N <= MAX_ENUM_N:
+        raise ValueError(f"N={N} outside supported enumeration range 1..{MAX_ENUM_N}")
+    last = N - 1
+    path = [None] * (N * N)
+    counts = [0, 0, 0]
+
+    def visit(k):
+        row, col = divmod(k, N)
+        h_left = path[k - 1][0] if col else False     # left boundary: False
+        v_above = path[k - N][1] if row else False    # top boundary: down
+        for choice in _CHOICES[(h_left, v_above, col == last, row == last)]:
+            path[k] = choice
+            counts[choice[2]] += 1
+            if k == N * N - 1:
+                yield path, counts
+            else:
+                yield from visit(k + 1)
+            counts[choice[2]] -= 1
+
+    yield from visit(0)
+
+
 @lru_cache(maxsize=None)
 def enumerate_dwbc(N: int) -> EnumResult:
     """All DWBC ice states on an N x N lattice (1 <= N <= 6).
@@ -74,64 +112,18 @@ def enumerate_dwbc(N: int) -> EnumResult:
     edge True), vertical edges point inward (top False = down, bottom True =
     up).
     """
-    if not 1 <= N <= MAX_ENUM_N:
-        raise ValueError(f"N={N} outside supported enumeration range 1..{MAX_ENUM_N}")
-    census = Counter()
-
-    def sweep_row(row, v_above, counts):
-        # assign one row, branching on the ice rule; recurse into the next row
-        def step(col, h_left, v_below_acc, counts):
-            if col == N:
-                if h_left is not True:      # right boundary arrow must exit
-                    return
-                if row == N - 1:
-                    if all(v_below_acc):    # bottom boundary arrows enter (up)
-                        census[tuple(counts)] += 1
-                else:
-                    sweep_row(row + 1, tuple(v_below_acc), counts)
-                return
-            for h_right, v_below, kind in _CHOICES[(h_left, v_above[col])]:
-                counts[kind] += 1
-                v_below_acc.append(v_below)
-                step(col + 1, h_right, v_below_acc, counts)
-                v_below_acc.pop()
-                counts[kind] -= 1
-
-        step(0, False, [], counts)
-
-    sweep_row(0, (False,) * N, [0, 0, 0])
-    ordered = tuple(sorted(census.items()))
-    return EnumResult(N, ordered, sum(census.values()))
+    census = Counter(tuple(counts) for _, counts in _ice_states(N))
+    return EnumResult(N, tuple(sorted(census.items())), sum(census.values()))
 
 
 def configurations(N: int):
     """Yield every DWBC ice state as an explicit ArrowGrid (test-scale N)."""
-    if not 1 <= N <= MAX_ENUM_N:
-        raise ValueError(f"N={N} outside supported enumeration range 1..{MAX_ENUM_N}")
-
-    def rows(row, v_above, h_rows, v_levels):
-        def step(col, h_left, h_acc, v_acc):
-            if col == N:
-                if h_left is not True:
-                    return
-                h_done = h_rows + (tuple(h_acc),)
-                v_done = v_levels + (tuple(v_acc),)
-                if row == N - 1:
-                    if all(v_acc):
-                        yield ArrowGrid(N, h_done, v_done)
-                else:
-                    yield from rows(row + 1, tuple(v_acc), h_done, v_done)
-                return
-            for h_right, v_below, _kind in _CHOICES[(h_left, v_above[col])]:
-                h_acc.append(h_right)
-                v_acc.append(v_below)
-                yield from step(col + 1, h_right, h_acc, v_acc)
-                h_acc.pop()
-                v_acc.pop()
-
-        yield from step(0, False, [False], [])
-
-    yield from rows(0, (False,) * N, (), ((False,) * N,))
+    for path, _ in _ice_states(N):
+        rows = [path[r * N:(r + 1) * N] for r in range(N)]
+        horizontal = tuple((False,) + tuple(ch[0] for ch in row) for row in rows)
+        vertical = ((False,) * N,) + tuple(tuple(ch[1] for ch in row)
+                                           for row in rows)
+        yield ArrowGrid(N, horizontal, vertical)
 
 
 def Z_bruteforce(N: int, a, b, c, p: Precision = Precision()):

@@ -4,7 +4,8 @@ Every public operation in this package takes an explicit :class:`Precision`
 instead of relying on the caller to have configured ``mpmath.mp``.  Internally
 computations run with a guard margin and results are rounded back to the
 requested width, so documented error bounds are of the form 2**(-bits+g) with
-a small g.
+a small g.  The 5-point central-difference stencil that the residual checks
+share lives here too.
 """
 
 from __future__ import annotations
@@ -32,11 +33,6 @@ class Precision:
         """Context manager running the enclosed block at bits+extra."""
         return mp.workprec(self.bits + extra)
 
-    @property
-    def eps(self):
-        """2**(-bits)."""
-        return mpf(2) ** (-self.bits)
-
     def tail_tol(self):
         """Series truncation target, 2**(-bits-8) per the numerics policy."""
         return mpf(2) ** (-self.bits - 8)
@@ -48,7 +44,13 @@ def rounded(x, p: Precision):
         return +x
 
 
-def to_mpf(value, p: Precision):
-    """Parse a number (decimal string preferred) directly at p.bits."""
-    with p.work():
-        return mpf(value)
+def central_differences(vals, h):
+    """First and second derivatives at the centre of five samples.
+
+    vals are f(x-2h), f(x-h), f(x), f(x+h), f(x+2h); the 5-point central
+    stencils have truncation error O(h^4).
+    """
+    d1 = (-vals[4] + 8 * vals[3] - 8 * vals[1] + vals[0]) / (12 * h)
+    d2 = (-vals[4] + 16 * vals[3] - 30 * vals[2] + 16 * vals[1] - vals[0]) \
+        / (12 * h ** 2)
+    return d1, d2

@@ -27,7 +27,7 @@ from sixvertex import (Precision, Z_bruteforce, asm_count, bulk_f,
                        elliptic_E, elliptic_K, elliptic_data_from_gamma,
                        endpoints, f_small_gamma, F_modular, jacobi_sn_cn_dn,
                        jacobi_zeta, ode_check, partition_Z, phase_params,
-                       rho_at, subleading_AF_fit, tau_scaled, theta,
+                       rho_at, subleading_AF_fit, tau_sequence, theta,
                        theta1_prime_zero, toda_residual, weights_from)
 
 P256 = Precision(256)
@@ -130,7 +130,7 @@ def test_criterion_04_toda_identity():
 def _spread_data(zeta_str):
     p = Precision(512)
     prm = _params("af", zeta_str, "1.0", p)
-    taus = [tau_scaled(prm, n, p) for n in range(2, 17)]
+    taus = tau_sequence(prm, 16, p)[1:]
     ratios, _ = subleading_AF_fit(taus, prm, p)
     f = bulk_f(prm, p).f
     with mp.workprec(544):

@@ -21,7 +21,7 @@ from sixvertex import (DegenerateGeometryError, DomainError, Precision,
                        density_normalization, dfdzeta, endpoints,
                        f_small_gamma, ode_check, phase_params, resolvent,
                        rho_at, saddle_residual, subleading_AF_fit,
-                       smooth_fit_D, tau_scaled, weights_from)
+                       smooth_fit_D, tau_sequence, weights_from)
 
 P = Precision(256)
 P128 = Precision(128)
@@ -420,7 +420,7 @@ class TestDensity:
 
 class TestFits:
     def _taus(self, prm, p, lo, hi):
-        return [tau_scaled(prm, n, p) for n in range(lo, hi + 1)]
+        return tau_sequence(prm, hi, p)[lo - 1:]
 
     def test_af_spread_shrinks_and_control_does_not(self):
         p = Precision(320)

@@ -64,8 +64,8 @@ def test_determinism_and_out_file(tmp_path, capsys):
 
 
 def test_jobs_match_serial(tmp_path):
-    args = ["exact", "--phase", "d", "--gamma", "0.9", "--t", "0.2",
-            "--n", "1..5", "--bits", "128"]
+    args = ["bulk", "--phase", "d", "--gamma", "0.9", "--t", "-0.2..0.2..0.2",
+            "--bits", "128"]
     f1, f2 = tmp_path / "serial.csv", tmp_path / "par.csv"
     assert main(args + ["--out", str(f1)]) == 0
     assert main(args + ["--jobs", "2", "--out", str(f2)]) == 0

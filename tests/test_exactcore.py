@@ -8,8 +8,8 @@ from sixvertex import (CutoffTooSmallError, PhaseDomainError,
                        PrecisionExhaustedError, Precision, c_factor,
                        laplace_moment_check, partition_Z, phase_params,
                        phi_derivatives, tau_discrete_sum, tau_scaled,
-                       toda_residual, weights_from)
-from sixvertex.exactcore import _det_pivoted
+                       tau_sequence, toda_residual, weights_from)
+from sixvertex.exactcore import _leading_minors
 
 P = Precision(256)
 
@@ -169,7 +169,24 @@ class TestTau:
         with mp.workprec(200):
             rows = [[mpf(1), mpf(1)], [mpf(1), mpf(1) + mpf(2) ** (-80)]]
             with pytest.raises(PrecisionExhaustedError):
-                _det_pivoted(rows, p)
+                _leading_minors(rows, p)
+
+    @pytest.mark.parametrize("phase,t,g", [
+        ("fe", "1.5", "0.4"), ("d", "0.3", "1"), ("af", "0.3", "1")])
+    def test_sequence_matches_mpmath_det(self, phase, t, g):
+        # every leading minor against mp.det of the same block, built from
+        # a 512-bit phi table
+        p = Precision(256)
+        prm = _params(phase, t, g, p)
+        seq = tau_sequence(prm, 16, p)
+        table = phi_derivatives(prm, 30, Precision(512))
+        with mp.workprec(512):
+            for n, tv in enumerate(seq, 1):
+                ref = mp.det(mp.matrix(
+                    [[table.values[i + k] / (mp.factorial(i) * mp.factorial(k))
+                      for k in range(n)] for i in range(n)]))
+                assert tv.n == n
+                assert abs((tv.scaled_tau - ref) / ref) < mpf(2) ** (-240)
 
     def test_precision_doubling_stability(self):
         prm = _params("af", "0.3", "1.0")
