@@ -32,5 +32,4 @@ def show(phase, t, g, grid, p):
 
 show("fe", "1.5", "0.4", 14, Precision(96))
 show("d", "0.3", "1.0", 14, Precision(96))
-# af rho values need the offset extrapolation; keep the grid small
-show("af", "0.3", "1.0", 11, Precision(64))
+show("af", "0.3", "1.0", 14, Precision(96))

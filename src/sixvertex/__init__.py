@@ -17,8 +17,8 @@ from .specfun import (EllipticData, elliptic_K, elliptic_E,
 from .exactcore import (PhaseParams, Weights, DerivativeTable, TauValue,
                         PHASES, phase_params, weights_from, phi_derivatives,
                         tau_scaled, tau_sequence, partition_Z,
-                        tau_discrete_sum, toda_residual, laplace_moment_check,
-                        c_factor)
+                        tau_discrete_sum, toda_residual, toda_residuals,
+                        laplace_moment_check, c_factor)
 from .oracle import (ArrowGrid, EnumResult, enumerate_dwbc, configurations,
                      Z_bruteforce, asm_count)
 from .asymptotics import (SaddleGeometry, endpoints, chemb_residual,
@@ -41,7 +41,7 @@ __all__ = [
     "PhaseParams", "Weights", "DerivativeTable", "TauValue", "PHASES",
     "phase_params", "weights_from", "phi_derivatives", "tau_scaled",
     "tau_sequence", "partition_Z", "tau_discrete_sum", "toda_residual",
-    "laplace_moment_check", "c_factor",
+    "toda_residuals", "laplace_moment_check", "c_factor",
     "ArrowGrid", "EnumResult", "enumerate_dwbc", "configurations",
     "Z_bruteforce", "asm_count",
     "SaddleGeometry", "endpoints", "chemb_residual", "FreeEnergy", "bulk_f",

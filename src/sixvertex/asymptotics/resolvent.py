@@ -1,29 +1,24 @@
 """Resolvent of the limiting eigenvalue density and the density itself.
 
-fe and d use the closed-form resolvents; af evaluates the quartic-root
-integral along a support-avoiding path.  The quartic square root is assembled
-from principal square roots of the four linear factors, which pins its branch
-cuts exactly to the two support bands; paths keep a fixed imaginary part so
-every factor stays on one branch.
-
-Density values come from the imaginary part of the resolvent just above the
-axis: closed forms tolerate an offset near the working epsilon, while the af
-quadrature uses the documented offsets {1e-3, 1e-4, 1e-5} with two rounds of
-Richardson extrapolation.
+fe and d have closed forms for both.  The af resolvent omega(z) =
+int_z^inf dx / sqrt P(x), P = (x-alpha)(x-alpha')(x-beta')(x-beta), is
+integrated along a ray off the axis.  On the axis the af density, the saddle
+equation's boundary value of omega and the normalization are real integrals
+of w(x) / sqrt|P(x)| between roots of P, all computed by
+:func:`_cut_integral`: no offset from the axis, extrapolation or contour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, mpc, sqrt, log, pi, quad, conj, re, im
+from mpmath import (mp, mpf, mpc, sqrt, log, pi, quad, conj, re, im, atan,
+                    sin, fprod)
 
-from ..errors import DomainError
+from ..errors import DomainError, QuadratureError
 from ..exactcore import PHASE_AF, PHASE_D, PHASE_FE, PhaseParams
 from ..precision import Precision, rounded
 from .geometry import SaddleGeometry
-
-_RICHARDSON_EPS = ("1e-3", "1e-4", "1e-5")
 
 
 @dataclass(frozen=True)
@@ -42,8 +37,7 @@ class DensityProfile:
 
 def _fe_omega(params, geom, z):
     t_e = mpf(params.t) - abs(mpf(params.gamma))
-    lo = min(mpf(geom.alpha), mpf(geom.beta))   # saturation boundary
-    hi = max(mpf(geom.alpha), mpf(geom.beta))   # support endpoint
+    lo, hi = sorted((mpf(geom.alpha), mpf(geom.beta)))
     return t_e - 2 * log((sqrt(lo * (z - hi)) + sqrt(hi * (z - lo)))
                          / sqrt(z * (hi - lo)))
 
@@ -56,44 +50,55 @@ def _d_omega(params, geom, z):
         / sqrt(z * (be - al)))
 
 
-def _af_quartic_root(geom):
-    roots = (mpf(geom.alpha), mpf(geom.alpha_prime),
-             mpf(geom.beta_prime), mpf(geom.beta))
-
-    def s(z):
-        out = mpc(1)
-        for r in roots:
-            out *= sqrt(z - r)
-        return out
-
-    return s, roots
+def _af_roots(geom):
+    return (mpf(geom.alpha), mpf(geom.alpha_prime),
+            mpf(geom.beta_prime), mpf(geom.beta))
 
 
-def _af_omega(geom, z):
-    """Integral of 1/sqrt(quartic) from z to +infinity.
+def _af_omega(params, geom, z):
+    """Integral of 1/sqrt(quartic) from z to +infinity, z off the support.
 
-    The path is the horizontal ray at Im(z) (the real ray for real z right of
-    the support), split at the abscissae of the remaining branch points so
-    the quadrature sees the near-cut peaks as endpoints.  For real z left of
-    the support the path first lifts vertically off the axis; the integrand
-    is analytic off the cuts, so the value is path-independent.
+    Principal roots of the four linear factors pin the cuts to the bands.
+    The path is the horizontal ray at Im(z), split below the branch points
+    right of z; for real z left of the support it first lifts off the axis.
     """
-    s, roots = _af_quartic_root(geom)
-    if im(z) == 0 and roots[0] <= re(z) <= roots[-1]:
-        raise DomainError("real z on the support or in the saturated gap; "
-                          "evaluate at mu + i*eps instead")
+    roots = _af_roots(geom)
+
+    def s(x):
+        return fprod(sqrt(x - r) for r in roots)
+
     if im(z) == 0 and re(z) < roots[0]:
-        lift = mpc(re(z), 1)
         leg = quad(lambda u: 1 / s(z + mpc(0, 1) * u), [0, 1]) * mpc(0, 1)
-        return leg + _af_omega(geom, lift)
+        return leg + _af_omega(params, geom, mpc(re(z), 1))
     marks = sorted(r - re(z) for r in roots if r > re(z))
-    segments = [mpf(0)] + marks + [mp.inf]
-    offset = z
+    return quad(lambda sdist: 1 / s(z + sdist), [mpf(0)] + marks + [mp.inf])
 
-    def integrand(sdist):
-        return 1 / s(offset + sdist)
 
-    return quad(integrand, segments)
+def _cut_integral(roots, lo, hi, p: Precision, w=lambda x: 1):
+    """int_lo^hi w(x) dx / sqrt|P(x)|, the inverse square root at each root
+    end absorbed by x = a + (b-a) sin^2(t) between adjacent roots a, b, by
+    x = r + (mu-r) v^2 from a root r to a point mu of its band, and by
+    x = beta + u^2 from the largest root to +inf.  Raises QuadratureError if
+    mpmath's error estimate exceeds 2^(-bits+8) of the value."""
+    others = [r for r in roots if r != lo and r != hi]
+
+    def smooth(x):   # the factors of P that no substitution absorbed
+        return 2 * w(x) / sqrt(abs(fprod(x - r for r in others)))
+
+    if hi == mp.inf:
+        val, err = quad(lambda u: smooth(lo + u * u), [0, mp.inf], error=True)
+    elif lo in roots and hi in roots:
+        val, err = quad(lambda t: smooth(lo + (hi - lo) * sin(t) ** 2),
+                        [0, pi / 2], error=True)
+    else:
+        # v in [0, 1] keeps the integrand O(1): quad's tolerance is absolute
+        root, span = (hi, lo - hi) if hi in roots else (lo, hi - lo)
+        val, err = (sqrt(abs(span)) * x for x in quad(
+            lambda v: smooth(root + span * v * v), [0, 1], error=True))
+    if err > mpf(2) ** (8 - p.bits) * abs(val):
+        raise QuadratureError(f"quadrature from {mp.nstr(lo, 8)} stalled at "
+                              f"error {mp.nstr(err, 5)}", achieved=err)
+    return val
 
 
 def resolvent(params: PhaseParams, geom: SaddleGeometry, z,
@@ -104,46 +109,54 @@ def resolvent(params: PhaseParams, geom: SaddleGeometry, z,
         if im(z) < 0:
             # real measure: omega(conj z) = conj(omega(z))
             return conj(resolvent(params, geom, conj(z), p))
-        if params.phase == PHASE_FE:
-            if im(z) == 0 and re(z) <= max(mpf(geom.alpha), mpf(geom.beta)) \
-                    and re(z) >= 0:
-                raise DomainError("z on the support")
-            out = _fe_omega(params, geom, z)
-        elif params.phase == PHASE_D:
-            if im(z) == 0 and mpf(geom.alpha) <= re(z) <= mpf(geom.beta):
-                raise DomainError("z on the support")
-            out = _d_omega(params, geom, z)
-        else:
-            out = _af_omega(geom, z)
+        (lo, hi), _, _ = support_and_saturation(params, geom)
+        if im(z) == 0 and lo <= re(z) <= hi:
+            raise DomainError("z on the support; use rho_at for the density")
+        out = _OMEGA[params.phase](params, geom, z)
         return mpc(rounded(re(out), p), rounded(im(out), p))
 
 
-def _rho_closed(params, geom, mu, p: Precision):
-    eps = mpf(2) ** (-p.bits // 2)
-    om = (_fe_omega if params.phase == PHASE_FE else _d_omega)(
-        params, geom, mpc(mu, eps))
-    return abs(im(om)) / pi
+def _rho_fe(params, geom, mu, p):
+    lo, hi = sorted((mpf(geom.alpha), mpf(geom.beta)))
+    if not lo < mu < hi:   # saturated on [0, lo], empty off [0, hi]
+        return mpf(1 if 0 <= mu <= lo else 0)
+    return 2 / pi * atan(sqrt(lo * (hi - mu) / (hi * (mu - lo))))
 
 
-def _rho_af(params, geom, mu, p: Precision):
-    vals = []
-    for e in _RICHARDSON_EPS:
-        om = _af_omega(geom, mpc(mu, mpf(e)))
-        vals.append(abs(im(om)) / pi)
-    r1 = (10 * vals[1] - vals[0]) / 9
-    r2 = (10 * vals[2] - vals[1]) / 9
-    return (10 * r2 - r1) / 9
+def _rho_d(params, geom, mu, p):
+    al, be = mpf(geom.alpha), mpf(geom.beta)
+    if not al < mu < be:
+        return mpf(0)
+    # log(0) = -inf puts rho = inf at the log singularity mu = 0
+    return abs(2 / pi ** 2 * (log(sqrt(be * (mu - al)) + sqrt(-al * (be - mu)))
+                              - log(abs(mu) * (be - al)) / 2))
+
+
+def _rho_af(params, geom, mu, p):
+    # rho = |Im omega(mu + i0)| / pi, and Im(1/sqrt P(x + i0)) is
+    # -1/sqrt|P| on the outer band, +1/sqrt|P| on the inner one, 0 elsewhere
+    roots = _af_roots(geom)
+
+    def above_mu(a, b):   # the cut integral over (mu, inf) and band [a, b]
+        if mu >= b:
+            return mpf(0)
+        if mu - a >= b - mu:   # else 1/sqrt(x - a) peaks at the end mu
+            return _cut_integral(roots, mu, b, p)
+        full = _cut_integral(roots, a, b, p)
+        return full if mu <= a else full - _cut_integral(roots, a, mu, p)
+
+    return abs(above_mu(roots[0], roots[1]) - above_mu(roots[2], roots[3])) / pi
+
+
+_OMEGA = {PHASE_FE: _fe_omega, PHASE_D: _d_omega, PHASE_AF: _af_omega}
+_RHO = {PHASE_FE: _rho_fe, PHASE_D: _rho_d, PHASE_AF: _rho_af}
 
 
 def rho_at(params: PhaseParams, geom: SaddleGeometry, mu,
            p: Precision = Precision()):
     """Density rho(mu) = |Im omega(mu + i0)| / pi at a single point."""
     with p.work():
-        mu = mpf(mu)
-        if params.phase == PHASE_AF:
-            out = _rho_af(params, geom, mu, p)
-        else:
-            out = _rho_closed(params, geom, mu, p)
+        out = _RHO[params.phase](params, geom, mpf(mu), p)
     return rounded(out, p)
 
 
@@ -154,8 +167,7 @@ def support_and_saturation(params: PhaseParams, geom: SaddleGeometry):
     for the bound.
     """
     if params.phase == PHASE_FE:
-        lo_s = min(mpf(geom.alpha), mpf(geom.beta))
-        hi = max(mpf(geom.alpha), mpf(geom.beta))
+        lo_s, hi = sorted((mpf(geom.alpha), mpf(geom.beta)))
         return (mpf(0), hi), ((mpf(0), lo_s),), mpf(1)
     if params.phase == PHASE_D:
         return (mpf(geom.alpha), mpf(geom.beta)), (), mp.inf
@@ -184,37 +196,24 @@ def density_normalization(params: PhaseParams, geom: SaddleGeometry,
                           p: Precision = Precision()):
     """int rho(mu) dmu over the support.
 
-    fe/d integrate the closed-form density directly.  For af the epsilon
-    offsets floor the pointwise accuracy near band edges, so the same number
-    is computed as the contour integral (1/2 pi i) oint omega(z) dz over a
-    rectangle enclosing the support, which uses the quadrature resolvent only
-    well away from its cuts.
+    fe/d integrate the closed-form density.  In af rho on a band is a cut
+    integral up to a band end; swapping the integrations leaves, over
+    pi sqrt|P(x)| dx, (x - beta') on [beta', beta] for the outer band and
+    (alpha' - alpha) on [beta', beta] less (x - alpha) on [alpha, alpha'] for
+    the inner one.  The saturated core adds (beta' - alpha') / (2 gamma).
     """
     with p.work():
         (lo, hi), sat, _ = support_and_saturation(params, geom)
-        if params.phase in (PHASE_FE, PHASE_D):
-            pts = [lo] + [x for iv in sat for x in iv if lo < x < hi] + [hi]
-            if params.phase == PHASE_D:
-                pts.append(mpf(0))   # integrable log singularity at the kink
-            margin = (hi - lo) * mpf(2) ** (-p.bits // 2)
-            pts[0] += margin
-            out = quad(lambda mu: _rho_closed(params, geom, mu, p), sorted(set(pts)))
-            return rounded(out, p)
-
-        height = mpf(1)
-        pad = mpf(1)
-        left, right = lo - pad, hi + pad
-        corners = [mpc(right, -height), mpc(right, height),
-                   mpc(left, height), mpc(left, -height), mpc(right, -height)]
-        total = mpc(0)
-        for z0, z1 in zip(corners[:-1], corners[1:]):
-            # omega is analytic on the contour: fixed-order Gauss-Legendre
-            # converges spectrally and keeps the number of resolvent
-            # evaluations small
-            seg = quad(lambda s: _af_omega(geom, z0 + (z1 - z0) * s), [0, 1],
-                       method="gauss-legendre", maxdegree=6)
-            total += seg * (z1 - z0)
-        out = re(total / (2 * pi * mpc(0, 1)))
+        if params.phase != PHASE_AF:
+            split = sat[0][1] if params.phase == PHASE_FE else mpf(0)
+            out = quad(lambda mu: _RHO[params.phase](params, geom, mu, p),
+                       [lo, split, hi])
+        else:
+            roots = al, alp, bep, be = _af_roots(geom)
+            outer = _cut_integral(roots, bep, be, p, lambda x: x - bep)
+            inner = (alp - al) * _cut_integral(roots, bep, be, p) \
+                - _cut_integral(roots, al, alp, p, lambda x: x - al)
+            out = (outer + inner) / pi + (bep - alp) / (2 * mpf(params.gamma))
     return rounded(out, p)
 
 
@@ -224,8 +223,10 @@ def saddle_residual(params: PhaseParams, geom: SaddleGeometry, mu,
 
         omega(mu+i0) + omega(mu-i0) - V'(mu)
 
-    with V' = 2*t_e for fe and sign(mu) - zeta for d/af.  The af boundary
-    value is Richardson-extrapolated in the offset like the density.
+    with V' = 2*t_e for fe and sign(mu) - zeta for d/af.  fe/d evaluate the
+    closed form at mu + i*2^(-bits/2).  In af Re omega(mu + i0) is the cut
+    integral of 1/sqrt P over [beta, inf), less that over [alpha', beta'] on
+    the inner band; mu off the bands raises DomainError.
     """
     with p.work():
         mu = mpf(mu)
@@ -234,16 +235,14 @@ def saddle_residual(params: PhaseParams, geom: SaddleGeometry, mu,
         else:
             target = (1 if mu > 0 else -1) - mpf(params.zeta)
         if params.phase == PHASE_AF:
-            vals = []
-            for e in _RICHARDSON_EPS:
-                vals.append(2 * re(_af_omega(geom, mpc(mu, mpf(e)))))
-            r1 = (10 * vals[1] - vals[0]) / 9
-            r2 = (10 * vals[2] - vals[1]) / 9
-            both = (10 * r2 - r1) / 9
+            roots = al, alp, bep, be = _af_roots(geom)
+            if not (al < mu < alp or bep < mu < be):
+                raise DomainError("mu is off the two unsaturated af bands")
+            both = 2 * _cut_integral(roots, be, mp.inf, p)
+            if mu < alp:
+                both -= 2 * _cut_integral(roots, alp, bep, p)
         else:
             eps = mpf(2) ** (-p.bits // 2)
-            om = (_fe_omega if params.phase == PHASE_FE else _d_omega)(
-                params, geom, mpc(mu, eps))
-            both = 2 * re(om)
+            both = 2 * re(_OMEGA[params.phase](params, geom, mpc(mu, eps)))
         out = both - target
     return rounded(out, p)

@@ -31,7 +31,7 @@ from mpmath import mp, mpf, sqrt, pi
 from . import asymptotics
 from .errors import SixVertexError, PhaseDomainError
 from .exactcore import (PHASES, laplace_moment_check, partition_Z,
-                        phase_params, tau_sequence, toda_residual,
+                        phase_params, tau_sequence, toda_residuals,
                         weights_from, z_from_tau)
 from .oracle import Z_bruteforce
 from .precision import Precision, rounded
@@ -158,11 +158,12 @@ def _map_jobs(fn, jobs, n_workers):
 # ---------------------------------------------------------------------------
 
 
-def _taus(prm, ns, p):
-    """tau_N/c_N for each N of a range, all from one tau_sequence call."""
+def _by_n(sequence, prm, ns, p):
+    """sequence(prm, N_max, p)[N - 1] for each N of a range, from one call
+    (tau_sequence, toda_residuals)."""
     if ns[0] < 1:
         raise ValueError("N must be >= 1")
-    seq = tau_sequence(prm, ns[-1], p)
+    seq = sequence(prm, ns[-1], p)
     return [seq[n - 1] for n in ns]
 
 
@@ -170,7 +171,7 @@ def cmd_exact(args):
     p = Precision(args.bits)
     prm = _params_from_args(args, p)
     rows = []
-    for tv in _taus(prm, parse_int_range(args.n), p):
+    for tv in _by_n(tau_sequence, prm, parse_int_range(args.n), p):
         z = z_from_tau(prm, tv, p)
         with p.work():
             logz_n2 = mp.log(z) / tv.n ** 2
@@ -242,7 +243,7 @@ def cmd_fit(args):
     p = Precision(args.bits)
     prm = _params_from_args(args, p)
     ns = parse_int_range(args.n)
-    taus = _taus(prm, ns, p)
+    taus = _by_n(tau_sequence, prm, ns, p)
     if prm.phase == "af":
         ratios, spread = asymptotics.subleading_AF_fit(taus, prm, p)
         rows = [(n, _fmt(r, args.bits)) for n, r in zip(ns, ratios)]
@@ -286,8 +287,9 @@ def cmd_check(args):
     if args.target == "toda":
         prm = _params_from_args(args, p)
         tol = mpf(2) ** (-p.bits // 2 + 16)
-        for n in parse_int_range(args.n):
-            checks.append((f"toda_residual_N{n}", toda_residual(prm, n, p), tol))
+        ns = parse_int_range(args.n)
+        for n, resid in zip(ns, _by_n(toda_residuals, prm, ns, p)):
+            checks.append((f"toda_residual_N{n}", resid, tol))
     elif args.target == "oracle":
         tol = mpf(2) ** (-p.bits // 2)
         with p.work():

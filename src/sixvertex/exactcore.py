@@ -387,17 +387,18 @@ def _scaled_toda_factor(N: int):
     return num // den
 
 
-def toda_residual(params: PhaseParams, N: int, p: Precision = Precision()):
-    """Relative residual of the bilinear identity at fixed gamma.
+def toda_residuals(params: PhaseParams, N_max: int, p: Precision) -> list:
+    """Relative residuals of the bilinear identity for N = 1..N_max.
 
-    With s_N = tau_N / c_N the identity reads
+    With s_N = tau_N / c_N the identity at fixed gamma reads
         s_N s_N'' - (s_N')^2 = d_N s_{N+1} s_{N-1},   d_N = c_{N+1}c_{N-1}/c_N^2,
     and s_0 = 1 by the tau_0 = 1 convention.  Derivatives in t use 5-point
     central differences at step h = 2^(-bits/5), balancing h^4 truncation
     against 2^(-bits)/h^2 roundoff; the achievable residual scale is
-    therefore ~2^(-3*bits/5).
+    therefore ~2^(-3*bits/5).  The stencil points do not depend on N, so
+    one :func:`tau_sequence` to N_max + 1 per point serves every N.
     """
-    if N < 1:
+    if N_max < 1:
         raise ValueError("N must be >= 1")
     pw = Precision(p.bits + 64)
     h = mpf(2) ** (-(p.bits // 5))
@@ -414,16 +415,28 @@ def toda_residual(params: PhaseParams, N: int, p: Precision = Precision()):
         raise PhaseDomainError("differentiation stencil leaves the phase region")
 
     with pw.work():
-        # s_0 = 1 .. s_{N+1} at the centre from one sequence
-        s = [mpf(1)] + [mpf(tv.scaled_tau)
-                        for tv in tau_sequence(stencil[2], N + 1, pw)]
-        vals = [s[N] if i == 2 else mpf(tau_scaled(prm, N, pw).scaled_tau)
-                for i, prm in enumerate(stencil)]
-        d1, d2 = central_differences(vals, h)
-        lhs = vals[2] * d2 - d1 ** 2
-        rhs = _scaled_toda_factor(N) * s[N + 1] * s[N - 1]
-        resid = abs(lhs - rhs) / abs(rhs)
-    return rounded(resid, p)
+        # s_0 = 1 .. s_{N_max+1} at each stencil point
+        seqs = [[mpf(1)] + [mpf(tv.scaled_tau)
+                            for tv in tau_sequence(prm, N_max + 1, pw)]
+                for prm in stencil]
+        centre = seqs[2]
+        out = []
+        for N in range(1, N_max + 1):
+            d1, d2 = central_differences([s[N] for s in seqs], h)
+            lhs = centre[N] * d2 - d1 ** 2
+            rhs = _scaled_toda_factor(N) * centre[N + 1] * centre[N - 1]
+            out.append(rounded(abs(lhs - rhs) / abs(rhs), p))
+    return out
+
+
+def toda_residual(params: PhaseParams, N: int, p: Precision = Precision()):
+    """Relative residual of the bilinear identity at one N, the last
+    element of :func:`toda_residuals`.
+
+    Callers that need several N should take them from one toda_residuals
+    call: it costs the same as its largest N.
+    """
+    return toda_residuals(params, N, p)[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -339,7 +339,6 @@ def test_criterion_10_density_d():
     assert ok1 and ok2
 
 
-@pytest.mark.slow
 def test_criterion_10_density_af():
     p72 = Precision(72)
     prm = _params("af", "0.3", "1.0", p72)

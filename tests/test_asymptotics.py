@@ -22,6 +22,7 @@ from sixvertex import (DegenerateGeometryError, DomainError, Precision,
                        f_small_gamma, ode_check, phase_params, resolvent,
                        rho_at, saddle_residual, subleading_AF_fit,
                        smooth_fit_D, tau_sequence, weights_from)
+from sixvertex.asymptotics.resolvent import _cut_integral
 
 P = Precision(256)
 P128 = Precision(128)
@@ -405,12 +406,65 @@ class TestDensity:
             frac = (mpf(b) - mpf(a)) * bound
             assert 0 < frac < 1
 
-    @pytest.mark.slow
     def test_af_norm_contour(self):
         p = Precision(64)
         prm = _params("af", "0.3", "1.0", p)
         geom = endpoints(prm, p)
         assert abs(density_normalization(prm, geom, p) - 1) < mpf("1e-8")
+
+    def test_af_on_cut_integrals_at_working_precision(self):
+        tol = mpf(2) ** -240
+        prm = _params("af", "0.3", "1.0")
+        geom = endpoints(prm, P)
+        p512 = Precision(512)
+        prm512 = _params("af", "0.3", "1.0", p512)
+        geom512 = endpoints(prm512, p512)
+        with mp.workprec(288):
+            roots = al, alp, bep, be = (
+                mpf(geom.alpha), mpf(geom.alpha_prime),
+                mpf(geom.beta_prime), mpf(geom.beta))
+            # a quarter into the inner band from its free end, three quarters
+            # into the outer one: rho_at integrates from opposite band ends
+            inner, gap = (3 * al + alp) / 4, (alp + bep) / 2
+            outer = (bep + 3 * be) / 4
+        for mu in (inner, gap, outer):
+            r256 = rho_at(prm, geom, mu, P)
+            r512 = rho_at(prm512, geom512, mu, p512)
+            with mp.workprec(544):
+                assert abs(r256 - r512) < tol * r512
+        with mp.workprec(288):
+            assert abs(rho_at(prm, geom, gap, P) - mpf(1) / 2) < tol
+            # from the saturated end of a band, rho = 1/(2 gamma) - the cut
+            # integral from mu to that end / pi
+            for mu, a, b in ((inner, inner, alp), (outer, bep, outer)):
+                from_core = mpf(1) / 2 - _cut_integral(roots, a, b, P) / pi
+                assert abs(rho_at(prm, geom, mu, P) - from_core) < tol
+            assert abs(density_normalization(prm, geom, P) - 1) < tol
+        for mu in (inner, outer):
+            assert abs(saddle_residual(prm, geom, mu, P)) < tol
+        with pytest.raises(DomainError):
+            saddle_residual(prm, geom, gap, P)    # saturated: no equation
+
+        # int rho(mu) / (z - mu) dmu, with rho's own cut integral swapped
+        # outside, against the off-axis path integral of resolvent()
+        p96 = Precision(96)
+        prm96 = _params("af", "0.3", "1.0", p96)
+        geom96 = endpoints(prm96, p96)
+        z = mpc(2, 1)
+        with mp.workprec(128):
+            roots = al, alp, bep, be = (
+                mpf(geom96.alpha), mpf(geom96.alpha_prime),
+                mpf(geom96.beta_prime), mpf(geom96.beta))
+
+            def cut(a, b, *w):
+                return _cut_integral(roots, a, b, p96, *w)
+
+            outer_band = cut(bep, be, lambda x: log(z - bep) - log(z - x))
+            inner_band = cut(bep, be) * (log(z - al) - log(z - alp)) \
+                - cut(al, alp, lambda x: log(z - al) - log(z - x))
+            core = (log(z - alp) - log(z - bep)) / 2
+            omega = (outer_band + inner_band) / pi + core
+            assert abs(omega - resolvent(prm96, geom96, z, p96)) < mpf(2) ** -80
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from sixvertex import (CutoffTooSmallError, PhaseDomainError,
                        PrecisionExhaustedError, Precision, c_factor,
                        laplace_moment_check, partition_Z, phase_params,
                        phi_derivatives, tau_discrete_sum, tau_scaled,
-                       tau_sequence, toda_residual, weights_from)
+                       tau_sequence, toda_residual, toda_residuals,
+                       weights_from)
 from sixvertex.exactcore import _leading_minors
 
 P = Precision(256)
@@ -281,6 +282,12 @@ class TestToda:
     def test_fe_example_point(self):
         prm = _params("fe", "1.5", "0.4")
         assert toda_residual(prm, 6, P) < mpf(2) ** (-112)
+
+    def test_sequence_equals_per_n_calls(self):
+        # leading minors do not depend on N_max, so neither do the residuals
+        prm = _params("af", "0.2", "1.0")
+        seq = toda_residuals(prm, 5, P)
+        assert seq == [toda_residual(prm, n, P) for n in range(1, 6)]
 
 
 class TestLaplaceMoments:
