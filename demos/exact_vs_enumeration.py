@@ -11,11 +11,12 @@ from mpmath import mp, mpf, sqrt, pi
 
 from sixvertex import (Precision, Z_bruteforce, asm_count, enumerate_dwbc,
                        partition_Z, phase_params, weights_from)
+from sixvertex.oracle import MAX_ENUM_N
 
 p = Precision(192)
 
 print("== ASM counts from enumeration ==")
-for n in range(1, 7):
+for n in range(1, MAX_ENUM_N + 1):
     print(f"  A({n}) = {asm_count(n)}")
 
 print("\n== census at N=3 (n_a, n_b, n_c) : multiplicity ==")

@@ -19,8 +19,7 @@ from .exactcore import (PhaseParams, Weights, DerivativeTable, TauValue,
                         tau_scaled, tau_sequence, partition_Z,
                         tau_discrete_sum, toda_residual, toda_residuals,
                         laplace_moment_check, c_factor)
-from .oracle import (ArrowGrid, EnumResult, enumerate_dwbc, configurations,
-                     Z_bruteforce, asm_count)
+from .oracle import EnumResult, enumerate_dwbc, Z_bruteforce, asm_count
 from .asymptotics import (SaddleGeometry, endpoints, chemb_residual,
                           FreeEnergy, bulk_f, dfdzeta, f_small_gamma,
                           F_modular, ode_check, DensityProfile, resolvent,
@@ -42,8 +41,7 @@ __all__ = [
     "phase_params", "weights_from", "phi_derivatives", "tau_scaled",
     "tau_sequence", "partition_Z", "tau_discrete_sum", "toda_residual",
     "toda_residuals", "laplace_moment_check", "c_factor",
-    "ArrowGrid", "EnumResult", "enumerate_dwbc", "configurations",
-    "Z_bruteforce", "asm_count",
+    "EnumResult", "enumerate_dwbc", "Z_bruteforce", "asm_count",
     "SaddleGeometry", "endpoints", "chemb_residual", "FreeEnergy", "bulk_f",
     "dfdzeta", "f_small_gamma", "F_modular", "ode_check", "DensityProfile",
     "resolvent", "density", "density_normalization", "rho_at",

@@ -136,6 +136,8 @@ def _rho_af(params, geom, mu, p):
     # rho = |Im omega(mu + i0)| / pi, and Im(1/sqrt P(x + i0)) is
     # -1/sqrt|P| on the outer band, +1/sqrt|P| on the inner one, 0 elsewhere
     roots = _af_roots(geom)
+    if not roots[0] < mu < roots[3]:
+        return mpf(0)
 
     def above_mu(a, b):   # the cut integral over (mu, inf) and band [a, b]
         if mu >= b:
@@ -223,10 +225,12 @@ def saddle_residual(params: PhaseParams, geom: SaddleGeometry, mu,
 
         omega(mu+i0) + omega(mu-i0) - V'(mu)
 
-    with V' = 2*t_e for fe and sign(mu) - zeta for d/af.  fe/d evaluate the
-    closed form at mu + i*2^(-bits/2).  In af Re omega(mu + i0) is the cut
-    integral of 1/sqrt P over [beta, inf), less that over [alpha', beta'] on
-    the inner band; mu off the bands raises DomainError.
+    with V' = 2*t_e for fe and sign(mu) - zeta for d/af.  fe/d take the real
+    part of the closed form on the axis, where it is the same on both sides
+    of the cut.  In af Re omega(mu + i0) is the cut integral of 1/sqrt P over
+    [beta, inf), less that over [alpha', beta'] on the inner band.  mu off
+    the unsaturated support (the two bands in af), or at d's jump mu = 0,
+    raises DomainError.
     """
     with p.work():
         mu = mpf(mu)
@@ -242,7 +246,9 @@ def saddle_residual(params: PhaseParams, geom: SaddleGeometry, mu,
             if mu < alp:
                 both -= 2 * _cut_integral(roots, alp, bep, p)
         else:
-            eps = mpf(2) ** (-p.bits // 2)
-            both = 2 * re(_OMEGA[params.phase](params, geom, mpc(mu, eps)))
+            lo, hi = sorted((mpf(geom.alpha), mpf(geom.beta)))
+            if not lo < mu < hi or mu == 0:   # d: V' jumps at 0
+                raise DomainError("mu is off the unsaturated support")
+            both = 2 * re(_OMEGA[params.phase](params, geom, mpc(mu)))
         out = both - target
     return rounded(out, p)

@@ -41,13 +41,6 @@ from .specfun import (elliptic_E, elliptic_K, elliptic_data_from_gamma,
 ENV_BITS = "SIXVERTEX_BITS"
 
 
-def _default_bits():
-    try:
-        return int(os.environ.get(ENV_BITS, "256"))
-    except ValueError:
-        return 256
-
-
 def _digits(bits):
     return max(17, int(bits * 0.30103) - 2)
 
@@ -299,8 +292,8 @@ def cmd_check(args):
             for phase, t, g in points:
                 prm = phase_params(phase, t, g, p)
                 w = weights_from(prm, p)
+                zbf = Z_bruteforce(n, w.a, w.b, w.c, p)   # rejects n first
                 zdet = partition_Z(prm, n, p)
-                zbf = Z_bruteforce(n, w.a, w.b, w.c, p)
                 with p.work():
                     rel = (zdet - zbf) / zbf
                 checks.append((f"oracle_{phase}_N{n}", rel, tol))
@@ -392,7 +385,9 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp, phase=True, nrange=None):
-        sp.add_argument("--bits", type=int, default=_default_bits(),
+        # argparse applies type=int to a string default: a bad value exits 2
+        sp.add_argument("--bits", type=int,
+                        default=os.environ.get(ENV_BITS, "256"),
                         help=f"binary precision (default 256 or ${ENV_BITS})")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", help="write output to this path instead of stdout")

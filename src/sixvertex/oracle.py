@@ -1,9 +1,10 @@
 """Brute-force enumeration of six-vertex configurations with domain wall
 boundary conditions.
 
-Ground truth for the determinant machinery: a depth-first sweep assigns edge
-arrows row by row, propagating the ice rule (two in, two out per vertex), and
-tallies each configuration's vertex-type census.  No alternating-sign-matrix
+Ground truth for the determinant machinery: a row-transfer sweep assigns edge
+arrows vertex by vertex under the ice rule (two in, two out per vertex) and
+carries, for each state of the vertical arrows, the vertex-type census of
+every partial configuration that reaches it.  No alternating-sign-matrix
 bijection is used, so the count doubles as a check of that correspondence.
 """
 
@@ -17,7 +18,7 @@ from mpmath import mpf
 
 from .precision import Precision, rounded
 
-MAX_ENUM_N = 6
+MAX_ENUM_N = 10
 
 # Edge conventions: horizontal True = arrow points right, vertical True =
 # arrow points up.  A vertex sees (h_left, h_right, v_above, v_below); the six
@@ -46,21 +47,7 @@ for _pat, _kind in _VERTEX_KIND.items():
             if (_pat[1] or not _last_col) and (_pat[3] or not _last_row):
                 _CHOICES[_key].append((_pat[1], _pat[3], _kind))
 
-
-@dataclass(frozen=True)
-class ArrowGrid:
-    """Full edge assignment of one ice state.
-
-    horizontal[r][c] for r < n, c <= n: True = arrow points right.
-    vertical[r][c] for r <= n, c < n: True = arrow points up.
-    Row index 0 is the top; the DWBC boundary fixes horizontal[r][0] =
-    False, horizontal[r][n] = True, vertical[0][c] = False and
-    vertical[n][c] = True.
-    """
-
-    n: int
-    horizontal: tuple
-    vertical: tuple
+_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -72,58 +59,38 @@ class EnumResult:
     config_count: int
 
 
-def _ice_states(N: int):
-    """Depth-first sweep over the DWBC ice states of an N x N lattice.
+@lru_cache(maxsize=None)
+def enumerate_dwbc(N: int) -> EnumResult:
+    """All DWBC ice states on an N x N lattice (1 <= N <= MAX_ENUM_N).
 
-    Vertices are visited row by row.  Each takes one of the ice-rule choices
-    (h_right, v_below, kind) that its left and upper edges allow, and the
-    boundary arrows prune the last column and the last row on the spot.
-    Yields once per state the N*N chosen triples in row-major order and the
-    running (n_a, n_b, n_c) census.  Both lists are updated in place, so a
-    caller copies what it keeps.
+    Boundary arrows: horizontal edges point outward (left edge False, right
+    edge True), vertical edges point inward (top False = down, bottom True =
+    up).  Vertices are swept row by row.  A state is the horizontal arrow
+    right of the last swept vertex followed by the N vertical arrows below
+    the swept vertices of the current row and above the rest; each state maps
+    (n_a, n_b, n_c) to the number of partial configurations reaching it.
+    The last-column and last-row entries of _CHOICES prune the boundary
+    arrows, so one state is left at the end.
     """
     if not 1 <= N <= MAX_ENUM_N:
         raise ValueError(f"N={N} outside supported enumeration range 1..{MAX_ENUM_N}")
     last = N - 1
-    path = [None] * (N * N)
-    counts = [0, 0, 0]
-
-    def visit(k):
-        row, col = divmod(k, N)
-        h_left = path[k - 1][0] if col else False     # left boundary: False
-        v_above = path[k - N][1] if row else False    # top boundary: down
-        for choice in _CHOICES[(h_left, v_above, col == last, row == last)]:
-            path[k] = choice
-            counts[choice[2]] += 1
-            if k == N * N - 1:
-                yield path, counts
-            else:
-                yield from visit(k + 1)
-            counts[choice[2]] -= 1
-
-    yield from visit(0)
-
-
-@lru_cache(maxsize=None)
-def enumerate_dwbc(N: int) -> EnumResult:
-    """All DWBC ice states on an N x N lattice (1 <= N <= 6).
-
-    Boundary arrows: horizontal edges point outward (left edge False, right
-    edge True), vertical edges point inward (top False = down, bottom True =
-    up).
-    """
-    census = Counter(tuple(counts) for _, counts in _ice_states(N))
+    states = {(False,) * (N + 1): Counter({(0, 0, 0): 1})}   # top: down
+    for row in range(N):
+        for col in range(N):
+            swept = {}
+            for (h, *v), census in states.items():
+                h_left = h if col else False            # left boundary: False
+                for h_right, v_below, kind in _CHOICES[
+                        (h_left, v[col], col == last, row == last)]:
+                    v[col] = v_below
+                    out = swept.setdefault((h_right, *v), Counter())
+                    da, db, dc = _UNIT[kind]
+                    for (na, nb, nc), mult in census.items():
+                        out[(na + da, nb + db, nc + dc)] += mult
+            states = swept
+    (census,) = states.values()
     return EnumResult(N, tuple(sorted(census.items())), sum(census.values()))
-
-
-def configurations(N: int):
-    """Yield every DWBC ice state as an explicit ArrowGrid (test-scale N)."""
-    for path, _ in _ice_states(N):
-        rows = [path[r * N:(r + 1) * N] for r in range(N)]
-        horizontal = tuple((False,) + tuple(ch[0] for ch in row) for row in rows)
-        vertical = ((False,) * N,) + tuple(tuple(ch[1] for ch in row)
-                                           for row in rows)
-        yield ArrowGrid(N, horizontal, vertical)
 
 
 def Z_bruteforce(N: int, a, b, c, p: Precision = Precision()):

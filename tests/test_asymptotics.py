@@ -353,15 +353,22 @@ class TestResolvent:
             assert abs(saddle_residual(prm, geom, mu, Precision(72))) < mpf("1e-9")
 
     def test_d_saddle_equation(self):
-        prm = _params("d", "0.3", "1.0", P96)
-        geom = endpoints(prm, P96)
-        for mu in ("-0.9", "0.2", "2.5"):
-            assert abs(saddle_residual(prm, geom, mpf(mu), P96)) < mpf("1e-12")
+        prm = _params("d", "0.3", "1.0")
+        geom = endpoints(prm, P)
+        # +-1e-30 sit next to the jump of V' = sign(mu) - zeta at 0
+        for mu in ("-0.9", "0.2", "2.5", "1e-30", "-1e-30"):
+            assert abs(saddle_residual(prm, geom, mpf(mu), P)) \
+                < mpf(2) ** (8 - P.bits)
+        for mu in (mpf(0), mpf(geom.alpha) - 1, mpf(geom.beta) + 1):
+            with pytest.raises(DomainError):
+                saddle_residual(prm, geom, mu, P)
 
     def test_fe_saddle_equation(self):
-        prm = _params("fe", "2.4", "0.4", P96)
-        geom = endpoints(prm, P96)
-        assert abs(saddle_residual(prm, geom, mpf(1), P96)) < mpf("1e-12")
+        prm = _params("fe", "2.4", "0.4")
+        geom = endpoints(prm, P)
+        assert abs(saddle_residual(prm, geom, mpf(1), P)) < mpf(2) ** (8 - P.bits)
+        with pytest.raises(DomainError):
+            saddle_residual(prm, geom, mpf("0.5"), P)    # saturated part
 
 
 class TestDensity:
@@ -387,6 +394,12 @@ class TestDensity:
         r0 = rho_at(prm, geom, mpf(0), Precision(72))
         with mp.workprec(104):
             assert abs(r0 - mpf(1) / 2) < mpf("1e-6")
+
+    def test_af_zero_off_the_support(self):
+        prm = _params("af", "0.3", "1.0")
+        geom = endpoints(prm, P)
+        for mu in (mpf(geom.alpha) - 1, mpf(geom.beta) + 1):
+            assert rho_at(prm, geom, mu, P) == 0
 
     def test_af_profile_marks_saturation_and_bound(self):
         prm = _params("af", "0.3", "1.0", Precision(72))

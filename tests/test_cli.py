@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp, mpf, sqrt
 
 from sixvertex.cli import main, parse_grid, parse_int_range
+from sixvertex.oracle import MAX_ENUM_N
 
 
 def run(argv, capsys):
@@ -86,6 +87,13 @@ def test_check_oracle_passes(capsys):
                        capsys)
     assert code == 0
     assert all(line.endswith("pass") for line in out.strip().splitlines()[1:])
+
+
+def test_check_oracle_beyond_enumeration_range_exits_2(capsys):
+    code, _, err = run(["check", "oracle", "--n", str(MAX_ENUM_N + 1),
+                        "--bits", "64"], capsys)
+    assert code == 2
+    assert "outside supported enumeration range" in err
 
 
 def test_check_identities_passes(capsys):
@@ -173,3 +181,12 @@ def test_env_var_bits(monkeypatch, capsys):
                         "--t", "0.3", "--n", "1", "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["meta"]["bits"] == 128
+
+
+def test_malformed_env_var_bits_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("SIXVERTEX_BITS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--phase", "af", "--gamma", "1.0", "--t", "0.3",
+              "--n", "1"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err

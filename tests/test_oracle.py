@@ -7,14 +7,16 @@ from mpmath import mp, mpf, sqrt
 
 from sixvertex import (Precision, Z_bruteforce, asm_count, enumerate_dwbc,
                        partition_Z, phase_params, weights_from)
-from sixvertex.oracle import configurations
+from sixvertex.oracle import _CHOICES, MAX_ENUM_N
 
 P = Precision(256)
 
-ASM = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429, 6: 7436}
+ASM = {1: 1, 2: 2, 3: 7, 4: 42, 5: 429, 6: 7436, 7: 218348, 8: 10850216,
+       9: 911835460, 10: 129534272700}
 
 
 def test_asm_sequence():
+    assert MAX_ENUM_N == max(ASM)
     for n, count in ASM.items():
         assert asm_count(n) == count
 
@@ -48,34 +50,33 @@ def test_c_count_parity():
             assert (nc - n) % 2 == 0
 
 
-def test_configurations_satisfy_ice_rule_and_boundary():
-    for n in range(1, 5):
-        count = 0
-        for grid in configurations(n):
-            count += 1
-            # domain-wall boundary: horizontal arrows outgoing, vertical in
-            for r in range(n):
-                assert grid.horizontal[r][0] is False
-                assert grid.horizontal[r][n] is True
-            for c in range(n):
-                assert grid.vertical[0][c] is False
-                assert grid.vertical[n][c] is True
-            # two in, two out at every vertex
-            for r in range(n):
-                for c in range(n):
-                    ins = ((grid.horizontal[r][c] is True)
-                           + (grid.horizontal[r][c + 1] is False)
-                           + (grid.vertical[r][c] is False)
-                           + (grid.vertical[r + 1][c] is True))
-                    assert ins == 2
-        assert count == ASM[n]
+def test_choices_obey_ice_rule_and_boundary():
+    # enumerate_dwbc only composes these entries, so checking each one covers
+    # the ice rule and the boundary arrows of every state it counts: each
+    # entry lists exactly the two-in/two-out completions, with the arrow
+    # pointing right in the last column and up in the last row
+    for (h_left, v_above, last_col, last_row), choices in _CHOICES.items():
+        allowed = set()
+        for h_right in (False, True):
+            for v_below in (False, True):
+                ins = ((h_left is True) + (h_right is False)
+                       + (v_above is False) + (v_below is True))
+                if (ins == 2 and (h_right or not last_col)
+                        and (v_below or not last_row)):
+                    allowed.add((h_right, v_below))
+        assert {(h, v) for h, v, _ in choices} == allowed
+        assert len(choices) == len(allowed)
+        for h_right, v_below, kind in choices:
+            pattern = (h_left, h_right, v_above, v_below)
+            assert kind == (0 if pattern in ((True,) * 4, (False,) * 4)
+                            else 1 if h_left == h_right else 2)
 
 
 def test_out_of_range():
     with pytest.raises(ValueError):
         enumerate_dwbc(0)
     with pytest.raises(ValueError):
-        enumerate_dwbc(7)
+        enumerate_dwbc(MAX_ENUM_N + 1)
 
 
 def test_free_fermion_point_and_aztec_counts():
@@ -117,3 +118,18 @@ def test_determinant_equivalence_random_weights():
                 zbf = Z_bruteforce(n, w.a, w.b, w.c, P)
                 with mp.workprec(300):
                     assert abs((zdet - zbf) / zbf) < mpf("1e-20")
+
+
+def test_determinant_equals_enumeration_beyond_six():
+    # the three phase points of `check oracle`, at its tolerance 2^(-bits/2)
+    tol = mpf(2) ** (-P.bits // 2)
+    for phase, t, g in (("fe", "1.5", "0.4"), ("d", "0.3", "1.0"),
+                        ("af", "0.3", "1.0")):
+        with mp.workprec(300):
+            prm = phase_params(phase, mpf(t), mpf(g), P)
+        w = weights_from(prm, P)
+        for n in range(7, MAX_ENUM_N + 1):
+            zdet = partition_Z(prm, n, P)
+            zbf = Z_bruteforce(n, w.a, w.b, w.c, P)
+            with mp.workprec(300):
+                assert abs((zdet - zbf) / zbf) < tol
