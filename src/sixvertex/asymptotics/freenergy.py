@@ -14,12 +14,12 @@ pins down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 from mpmath import mp, mpf, cos, sin, exp, log, pi, sinh, cosh, tan
 
 from ..errors import CutoffTooSmallError, PhaseDomainError
-from ..exactcore import PHASE_AF, PHASE_D, PHASE_FE, PhaseParams, weights_from
+from ..exactcore import (PHASE_AF, PHASE_D, PHASE_FE, PhaseParams, c_factor,
+                         weights_from)
 from ..precision import Precision, central_differences, rounded
 from ..specfun import elliptic_data_from_gamma, theta, theta1_prime_zero
 from .geometry import endpoints
@@ -201,12 +201,8 @@ def ode_check(params: PhaseParams, p: Precision = Precision(), n: int = 6,
             raise ValueError("n must be >= 1")
 
         def big_a(N, tt):
-            cn = mpf(1)
-            for i in range(N):
-                cn *= factorial(i)
-            cn = cn ** 2
             arg = (pi / 2) * (1 + tt / g) * N
-            return cn * exp(N * N * f_of_t(tt)) * theta(4, arg, q, pw)
+            return c_factor(N) * exp(N * N * f_of_t(tt)) * theta(4, arg, q, pw)
 
         a_mid, d1, d2 = _derivatives(lambda tt: big_a(n, tt), t0, h)
         rhs = big_a(n + 1, t0) * big_a(n - 1, t0)

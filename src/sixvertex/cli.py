@@ -167,13 +167,13 @@ def cmd_exact(args):
     for tv in _by_n(tau_sequence, prm, parse_int_range(args.n), p):
         z = z_from_tau(prm, tv, p)
         with p.work():
-            logz_n2 = mp.log(z) / tv.n ** 2
+            logz_n2 = mp.log(abs(z)) / tv.n ** 2
         rows.append((tv.n, _fmt(tv.log_scaled, args.bits), _fmt(z, args.bits),
                      _fmt(logz_n2, args.bits)))
     header = ["N", "log_tau_scaled", "Z", "log_Z_over_N2"]
     meta = {"phase": prm.phase, "t": _fmt(prm.t, args.bits),
             "gamma": _fmt(prm.gamma, args.bits), "bits": args.bits,
-            "note": "log_tau_scaled = log(tau_N/c_N), c_N = (prod n!)^2"}
+            "note": "log_tau_scaled = log|tau_N/c_N|, c_N = (prod n!)^2"}
     _emit(rows, header, args, meta)
     return 0
 
@@ -201,6 +201,8 @@ def cmd_bulk(args):
 
 
 def cmd_density(args):
+    if args.grid < 1:
+        raise ValueError("--grid must be >= 1")
     p = Precision(args.bits)
     prm = _params_from_args(args, p)
     geom = asymptotics.endpoints(prm, p)

@@ -14,7 +14,7 @@ class DomainError(SixVertexError, ValueError):
 
 
 class PrecisionExhaustedError(SixVertexError, ArithmeticError):
-    """Cancellation ate too many digits; rerun with more bits."""
+    """Two runs at different precision never agreed; rerun with more bits."""
 
 
 class CutoffTooSmallError(SixVertexError, ValueError):

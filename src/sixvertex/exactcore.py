@@ -8,11 +8,11 @@ determinant tau_N / c_N with c_N = (prod_{n<N} n!)^2, the partition function
 Z_N = (a*b)^(N^2) * tau_N / c_N, independent discrete-sum and Laplace-moment
 cross-checks, and the bilinear (Toda-type) residual in t.
 
-tau_N / c_N is the leading N x N principal minor of one scaled Hankel matrix
-phi^(i+k)/(i! k!).  phi is the Laplace transform of a positive measure in
-all three phases, so that matrix is a moment matrix, positive definite up to
-an overall sign, and unpivoted LDL^T elimination needs no row exchanges: a
-single pass yields tau_1/c_1 .. tau_N/c_N at once (:func:`tau_sequence`)."""
+tau_N / c_N is a Hankel determinant of the moments phi^(n)(t) of a measure
+of one sign (phi is its Laplace transform in all three phases), hence a
+product of orthogonal-polynomial norms: one O(N^2) Chebyshev-algorithm pass
+yields tau_1/c_1 .. tau_N/c_N at once, certified by a rerun at 32 more bits
+(:func:`tau_sequence`)."""
 
 from __future__ import annotations
 
@@ -198,13 +198,13 @@ def phi_derivatives(params: PhaseParams, order_max: int,
 
 
 # ---------------------------------------------------------------------------
-# Scaled Hankel determinants: every leading minor from one LDL^T pass
+# Scaled Hankel determinants: every tau_N / c_N from one moment recurrence
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TauValue:
-    """tau_N / c_N at one phase point, with its logarithm."""
+    """tau_N / c_N at one phase point, with the logarithm of its magnitude."""
 
     n: int
     scaled_tau: object
@@ -219,75 +219,74 @@ def c_factor(N: int) -> int:
     return prod * prod
 
 
-def _leading_minors(rows, p: Precision):
-    """Leading principal minors of a symmetric matrix by unpivoted LDL^T.
+def _orthogonal_norms(moments, N: int) -> list:
+    """Norms h_0..h_{N-1} of the monic orthogonal polynomials pi_k of the
+    moments[0..2N-2], which are the pivots of the Hankel matrix moments[i+k].
 
-    Only the lower triangle, rows[i][0..i], is read, and it is overwritten.
-    The minor of order N is the product of the first N pivots.  A
-    cancellation sentinel guards every order N: the run aborts if the
-    largest magnitude that any entry of the leading N x N block ever held,
-    original or updated, exceeds the minor by 2**(bits-32).
+    Chebyshev algorithm (Gautschi, Orthogonal Polynomials: Computation and
+    Approximation, 2004, section 2.1.7): row k holds the mixed moments
+    sigma_{k,l} = <pi_k, x^l> for k <= l <= 2N-2-k, and h_k = sigma_{k,k}.
     """
-    n = len(rows)
-    peak = [max(abs(x) for x in row[:i + 1]) for i, row in enumerate(rows)]
-    for k in range(n):
-        piv = rows[k][k]
-        if not piv:
+    prev, cur = [0] * len(moments), list(moments)
+    norms, shift, last = [], 0, 1
+    for k in range(N):
+        if not cur[k]:
             raise PrecisionExhaustedError(
                 f"zero pivot at order {k + 1}; increase Precision.bits")
-        col = [rows[j][k] for j in range(k + 1, n)]
-        for i in range(k + 1, n):
-            row_i = rows[i]
-            factor = row_i[k] / piv
-            if factor:
-                updated = [x - factor * y
-                           for x, y in zip(row_i[k + 1:i + 1], col)]
-                row_i[k + 1:i + 1] = updated
-                peak[i] = max(peak[i], max(map(abs, updated)))
-    limit = mpf(2) ** (p.bits - 32)
-    minors = []
-    det = mpf(1)
-    block_peak = mpf(0)
-    for k in range(n):
-        det *= rows[k][k]
-        block_peak = max(block_peak, peak[k])
-        if block_peak / abs(det) > limit:
-            raise PrecisionExhaustedError(
-                f"determinant cancellation ratio "
-                f"{mp.nstr(block_peak / abs(det), 5)} at order {k + 1} "
-                f"exceeds 2**(bits-32); increase Precision.bits")
-        minors.append(det)
-    return minors
+        norms.append(cur[k])
+        if k + 1 == N:
+            break
+        ratio = cur[k + 1] / cur[k]
+        alpha, beta = ratio - shift, cur[k] / last
+        nxt = [0] * len(moments)
+        for l in range(k + 1, len(moments) - k - 1):
+            nxt[l] = cur[l + 1] - alpha * cur[l] - beta * prev[l]
+        prev, cur, shift, last = cur, nxt, ratio, cur[k]
+    return norms
 
 
 def tau_sequence(params: PhaseParams, N_max: int,
                  p: Precision = Precision()) -> list:
-    """tau_N / c_N for N = 1..N_max, as leading minors of one matrix.
+    """tau_N / c_N for N = 1..N_max from one O(N_max^2) moment recurrence.
 
-    tau_N / c_N is the leading N x N principal minor of the scaled Hankel
-    matrix phi^(i+k)(t) / (i! k!), i, k >= 0.  Dividing row i by i! and
-    column k by k! keeps the entries of comparable size and cancels c_N
-    exactly against the raw Hankel determinant.  phi is the Laplace
-    transform of a positive measure in every phase (the mode weights of
-    :func:`tau_discrete_sum`, the density of :func:`laplace_moment_check`),
-    so the matrix is a positive definite moment matrix, up to an overall
-    sign, and needs no pivoting: one LDL^T pass over the N_max x N_max
-    matrix, built from a single phi table of order 2*N_max - 2, yields
-    every tau_N / c_N as a product of leading pivots.
+    phi^(n)(t) are the moments of a measure of one sign in every phase (the
+    mode weights of :func:`tau_discrete_sum`, the density of
+    :func:`laplace_moment_check`), so tau_N / c_N = prod_{k<N} h_k / (k!)^2
+    with the norms h_k of :func:`_orthogonal_norms`.  The moments are
+    ill-conditioned, so each result is certified by a rerun: the recurrence
+    runs at w = bits + 64 on the table rounded to w and at w + 32, and the
+    w run is returned when both agree to 2^(-bits-8) relative at every
+    order.  Otherwise their gap measures the loss L and the pair reruns at
+    w = bits + 64 + L; a third failed round raises PrecisionExhaustedError.
     """
     if N_max < 1:
         raise ValueError("N must be >= 1")
-    table = phi_derivatives(params, 2 * N_max - 2, Precision(p.bits + 64))
-    with mp.workprec(p.bits + 64):
-        rows = [[table.values[i + k] / (factorial(i) * factorial(k))
-                 for k in range(i + 1)] for i in range(N_max)]
-        return [TauValue(n, rounded(det, p), rounded(log(det), p))
-                for n, det in enumerate(_leading_minors(rows, p), 1)]
+    w = p.bits + 64
+    for _ in range(3):
+        table = phi_derivatives(params, 2 * N_max - 2, Precision(w + 32))
+        runs = []
+        for bits in (w, w + 32):
+            with mp.workprec(bits):
+                norms = _orthogonal_norms([+x for x in table.values], N_max)
+                runs.append(list(itertools.accumulate(
+                    (h / factorial(k) ** 2 for k, h in enumerate(norms)),
+                    lambda a, b: a * b)))
+        with mp.workprec(w + 32):
+            gap = max(abs((lo - hi) / hi) for lo, hi in zip(*runs))
+        if gap <= mpf(2) ** (-p.bits - 8):
+            with mp.workprec(w):
+                return [TauValue(n, rounded(s, p), rounded(log(abs(s)), p))
+                        for n, s in enumerate(runs[0], 1)]
+        loss = w + int(mp.log(gap, 2))
+        w = p.bits + 64 + loss
+    raise PrecisionExhaustedError(
+        f"tau_N/c_N runs 32 bits apart still differ by {mp.nstr(gap, 5)} "
+        f"relative after 3 rounds (loss {loss} bits); increase Precision.bits")
 
 
 def tau_scaled(params: PhaseParams, N: int,
                p: Precision = Precision()) -> TauValue:
-    """tau_N / c_N, the last leading minor of :func:`tau_sequence`.
+    """tau_N / c_N, the last element of :func:`tau_sequence`.
 
     Callers that need several N should take them from one tau_sequence
     call: it costs the same as its largest N.

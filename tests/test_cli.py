@@ -48,6 +48,27 @@ def test_exact_row_count(capsys):
     assert len(out.strip().splitlines()) == 11
 
 
+def test_exact_fe_beyond_n16(capsys):
+    code, out, _ = run(["exact", "--phase", "fe", "--gamma", "0.4", "--t",
+                        "1.5", "--n", "17..24"], capsys)
+    assert code == 0
+    assert len(out.strip().splitlines()) == 9
+
+
+def test_exact_fe_negative_gamma(capsys):
+    # Z_N changes sign with N; the logarithms are of magnitudes
+    rows = {}
+    for gamma in ("0.4", "-0.4"):
+        code, out, _ = run(["exact", "--phase", "fe", "--gamma", gamma,
+                            "--t", "1.5", "--n", "1..3", "--bits", "128"],
+                           capsys)
+        assert code == 0
+        rows[gamma] = [line.split(",") for line in out.strip().splitlines()[1:]]
+    for (n, lt, z, lz), (_, lt_m, z_m, lz_m) in zip(rows["0.4"], rows["-0.4"]):
+        assert (lt_m, lz_m) == (lt, lz)
+        assert mpf(z_m) == (-1) ** int(n) * mpf(z)
+
+
 def test_invalid_region_exits_2(capsys):
     code, _, err = run(["exact", "--phase", "fe", "--gamma", "2", "--t", "1"],
                        capsys)
@@ -146,6 +167,16 @@ def test_density_symmetric_profile(capsys):
         # zeta = 0 makes the potential even: profile symmetric under mu -> -mu
         for a, b in zip(rhos, reversed(rhos)):
             assert abs(a - b) < mpf("1e-12")
+
+
+@pytest.mark.parametrize("grid", ["0", "-2"])
+def test_density_grid_below_one_exits_2(grid, capsys):
+    code, out, err = run(["density", "--phase", "d", "--gamma", "1.0",
+                          "--zeta", "0", "--grid", grid, "--bits", "96"],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert "invalid input" in err
 
 
 def test_fit_af_json(capsys):

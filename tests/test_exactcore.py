@@ -10,7 +10,7 @@ from sixvertex import (CutoffTooSmallError, PhaseDomainError,
                        phi_derivatives, tau_discrete_sum, tau_scaled,
                        tau_sequence, toda_residual, toda_residuals,
                        weights_from)
-from sixvertex.exactcore import _leading_minors
+from sixvertex import exactcore
 
 P = Precision(256)
 
@@ -164,13 +164,44 @@ class TestTau:
                 with mp.workprec(300):
                     assert abs(tv.log_scaled - log(tv.scaled_tau)) < mpf(2) ** (-240)
 
-    def test_cancellation_sentinel_trips(self):
-        # a nearly singular 2x2 at 64 bits: intermediate/pivot ratio 2^80
-        p = Precision(64)
-        with mp.workprec(200):
-            rows = [[mpf(1), mpf(1)], [mpf(1), mpf(1) + mpf(2) ** (-80)]]
-            with pytest.raises(PrecisionExhaustedError):
-                _leading_minors(rows, p)
+    def test_disagreeing_reruns_raise(self, monkeypatch):
+        # a pivot error that does not shrink with the working precision
+        # keeps the two runs apart in every round
+        precs = []
+        norms = exactcore._orthogonal_norms
+
+        def noisy(moments, N):
+            precs.append(mp.prec)
+            out = norms(moments, N)
+            return out[:-1] + [out[-1] * (1 + mp.prec * mpf(2) ** -100)]
+
+        monkeypatch.setattr(exactcore, "_orthogonal_norms", noisy)
+        with pytest.raises(PrecisionExhaustedError, match="after 3 rounds"):
+            tau_sequence(_params("af", "0.3", "1.0"), 4, P)
+        assert len(precs) == 6
+        assert precs[0] < precs[2] < precs[4]
+
+    @pytest.mark.parametrize("phase,t,g,n_max", [
+        ("fe", "1.5", "0.4", 24), ("af", "0.3", "1", 96)])
+    def test_sequence_certified_against_1024_bits(self, phase, t, g, n_max):
+        # fe beyond N=16 and af at N=96 lose 96 and 177 bits to the moments;
+        # both runs take the same 256-bit t and gamma
+        prm = _params(phase, t, g)
+        seq = tau_sequence(prm, n_max, P)
+        ref = tau_sequence(prm, n_max, Precision(1024))
+        with mp.workprec(1024):
+            for tv, tr in zip(seq, ref):
+                rel = (tv.scaled_tau - tr.scaled_tau) / tr.scaled_tau
+                assert abs(rel) < mpf(2) ** (-248)
+
+    def test_fe_negative_gamma_flips_odd_orders(self):
+        # phi(-gamma) = -phi(gamma): tau_N changes by (-1)^N, |tau_N| not
+        plus = tau_sequence(_params("fe", "1.5", "0.4"), 7, P)
+        minus = tau_sequence(_params("fe", "1.5", "-0.4"), 7, P)
+        with mp.workprec(256):
+            for tp, tm in zip(plus, minus):
+                assert tm.scaled_tau == (-1) ** tp.n * tp.scaled_tau
+                assert tm.log_scaled == tp.log_scaled
 
     @pytest.mark.parametrize("phase,t,g", [
         ("fe", "1.5", "0.4"), ("d", "0.3", "1"), ("af", "0.3", "1")])
