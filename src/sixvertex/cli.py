@@ -24,7 +24,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from mpmath import mp, mpf, sqrt, pi
 
@@ -105,12 +104,12 @@ def _emit(rows, header, args, meta=None):
 
 
 def _params_from_args(args, p):
-    with mp.workprec(p.bits + 32):
-        if getattr(args, "zeta", None) is not None:
+    # phase_params parses the decimal strings to bits + 64 itself
+    t = args.t if args.t is not None else "0"
+    if getattr(args, "zeta", None) is not None:
+        with mp.workprec(p.bits + 96):
             t = mpf(args.zeta) * mpf(args.gamma)
-        else:
-            t = mpf(args.t if args.t is not None else "0")
-        return phase_params(args.phase, t, mpf(args.gamma), p)
+    return phase_params(args.phase, t, args.gamma, p)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +141,8 @@ def _density_row(job):
 def _map_jobs(fn, jobs, n_workers):
     if n_workers <= 1 or len(jobs) <= 1:
         return [fn(j) for j in jobs]
+    # imported here: it costs every other command start-up time
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=n_workers) as ex:
         return list(ex.map(fn, jobs))
 

@@ -3,15 +3,18 @@ boundary conditions.
 
 The N x N partition function is a Hankel determinant of derivatives of a
 single generating function phi(t).  Everything here is exact at finite N:
-Boltzmann weights, the integer-coefficient derivative recurrence, the scaled
-determinant tau_N / c_N with c_N = (prod_{n<N} n!)^2, the partition function
-Z_N = (a*b)^(N^2) * tau_N / c_N, independent discrete-sum and Laplace-moment
-cross-checks, and the bilinear (Toda-type) residual in t.
+Boltzmann weights, the derivatives of phi from the Taylor recurrence of its
+Riccati equation, the scaled determinant tau_N / c_N with
+c_N = (prod_{n<N} n!)^2, the partition function Z_N = (a*b)^(N^2) * tau_N / c_N,
+independent discrete-sum and Laplace-moment cross-checks, and the bilinear
+(Toda-type) residual in t.
 
 tau_N / c_N is a Hankel determinant of the moments phi^(n)(t) of a measure
 of one sign (phi is its Laplace transform in all three phases), hence a
 product of orthogonal-polynomial norms: one O(N^2) Chebyshev-algorithm pass
-yields tau_1/c_1 .. tau_N/c_N at once, certified by a rerun at 32 more bits
+yields tau_1/c_1 .. tau_N/c_N at once.  The phi table and the pass are
+certified together by a rerun of both at 32 more bits, and a first round on
+16 orders predicts the precision that a long sequence needs
 (:func:`tau_sequence`)."""
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ PHASES = (PHASE_FE, PHASE_D, PHASE_AF)
 
 @dataclass(frozen=True)
 class PhaseParams:
-    """Validated phase point.  zeta = t/gamma; delta is the anisotropy."""
+    """Validated phase point.  zeta = t/gamma; delta is the anisotropy.
+    All four carry bits + 64 of the Precision they were built at."""
 
     phase: str
     t: object
@@ -58,12 +62,16 @@ def phase_params(phase, t, gamma, p: Precision = Precision()) -> PhaseParams:
     """Build a PhaseParams, enforcing the defining inequalities.
 
     fe: |gamma| < t;  d: |t| < gamma and 0 < gamma < pi/2;  af: |t| < gamma,
-    gamma > 0.  The error message names the violated inequality.
+    gamma > 0.  The error message names the violated inequality.  t, gamma,
+    zeta and delta are kept to bits + 64: log tau_N depends on t in
+    proportion to N^2, so the results, not the inputs, are rounded to bits.
+    Pass decimal strings to keep t and gamma as exact as that.
     """
     phase = phase.lower()
     if phase not in PHASES:
         raise PhaseDomainError(f"unknown phase {phase!r}, expected one of {PHASES}")
-    with p.work():
+    pw = Precision(p.bits + 64)
+    with pw.work():
         t = mpf(t)
         gamma = mpf(gamma)
         if phase == PHASE_FE:
@@ -83,8 +91,8 @@ def phase_params(phase, t, gamma, p: Precision = Precision()) -> PhaseParams:
                 raise PhaseDomainError("af phase requires |t| < gamma")
             delta = -cosh(2 * gamma)
         zeta = t / gamma
-    return PhaseParams(phase, rounded(t, p), rounded(gamma, p),
-                       rounded(zeta, p), rounded(delta, p))
+    return PhaseParams(phase, rounded(t, pw), rounded(gamma, pw),
+                       rounded(zeta, pw), rounded(delta, pw))
 
 
 def weights_from(params: PhaseParams, p: Precision = Precision()) -> Weights:
@@ -103,98 +111,75 @@ def weights_from(params: PhaseParams, p: Precision = Precision()) -> Weights:
 # ---------------------------------------------------------------------------
 # Derivatives of phi(t)
 #
-# phi splits into two cotangent-type terms whose derivatives obey an exact
-# integer-coefficient polynomial recurrence:
+# phi is a sum of two cotangent-type terms y(x), each a solution of a
+# Riccati equation:
 #   d/dx coth x = 1 - coth^2 x      (hyperbolic phases)
 #   d/dx cot x  = -1 - cot^2 x      (trigonometric phase)
-# so phi^(n)(t) = P_n(w+) +/- P_n(w-) with w staged once per phase point.
+# so the Taylor coefficients of y about one point follow from y(x) alone.
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+def _riccati_taylor(y0, sign, order_max: int) -> list:
+    """Taylor coefficients a_0..a_order_max of the solution of y' = sign - y^2
+    with y = y0 at the expansion point:
 
+        a_{n+1} = (sign * [n = 0] - sum_{i<=n} a_i a_{n-i}) / (n + 1).
 
-def _poly_diff(a):
-    return [i * c for i, c in enumerate(a)][1:] or [0]
-
-
-def derivative_polys(order_max: int, trig: bool):
-    """P_0..P_order_max with P_0(w)=w and P_{n+1} = P_n'(w) * (±1 - w^2).
-
-    trig=False gives the coth chain (1 - w^2), trig=True the cot chain
-    (-1 - w^2).  Coefficients are exact Python ints.
+    The convolution is symmetric, so half of it is summed (O(order_max^2)
+    multiplications in all), each half-sum exactly and rounded once.
     """
-    chain = [-1, 0, -1] if trig else [1, 0, -1]
-    polys = [[0, 1]]
-    for _ in range(order_max):
-        polys.append(_poly_mul(_poly_diff(polys[-1]), chain))
-    return polys
-
-
-def _poly_eval(coeffs, w):
-    acc = mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * w + c
-    return acc
+    a = [y0]
+    for n in range(order_max):
+        k = (n + 1) // 2
+        conv = 2 * mp.fdot(a[:k], a[n:n - k:-1])
+        if n % 2 == 0:
+            conv += a[n // 2] ** 2
+        a.append(((sign if n == 0 else 0) - conv) / (n + 1))
+    return a
 
 
 @dataclass(frozen=True)
 class DerivativeTable:
-    """phi and its t-derivatives at one phase point.
-
-    rep holds the exact integer-coefficient polynomials; values[n] is
-    phi^(n)(t) at working precision.
-    """
+    """phi and its t-derivatives at one phase point; values[n] is
+    phi^(n)(t) rounded to the table's precision."""
 
     params: PhaseParams
     order_max: int
-    rep: tuple
     values: tuple
 
 
 def phi_derivatives(params: PhaseParams, order_max: int,
                     p: Precision = Precision()) -> DerivativeTable:
-    """Exact derivative table of phi(t) up to order_max.
+    """Derivative table of phi(t) up to order_max, from the Taylor
+    recurrence of :func:`_riccati_taylor` (O(order_max^2) operations).
 
     fe: phi = coth(t-gamma) - coth(t+gamma)
-    af: phi = coth(gamma-t) + coth(gamma+t)
-    d:  phi = cot(gamma-t) + cot(gamma+t)
-    The minus-argument branch picks up (-1)^n per derivative order.
+    af: phi = coth(gamma+t) + coth(gamma-t)
+    d:  phi = cot(gamma+t) + cot(gamma-t)
+    With a_n, b_n the Taylor coefficients of the first and second term in
+    their own argument, phi^(n)(t) = n! (a_n - b_n) in fe and
+    n! (a_n + (-1)^n b_n) in af and d, where d/dt acts on gamma - t.  The
+    recurrence runs at bits + 32 and loses a few bits (about 10 at order
+    600), so values are good to about 2^(-bits) relative.
     """
     if order_max < 0:
         raise ValueError("order_max must be >= 0")
-    trig = params.phase == PHASE_D
-    polys = derivative_polys(order_max, trig)
     with p.work():
         t, g = mpf(params.t), mpf(params.gamma)
         if params.phase == PHASE_FE:
-            w_first = cosh(t - g) / sinh(t - g)
-            w_second = cosh(t + g) / sinh(t + g)
-            signs = lambda n: -1          # phi = coth(t-g) - coth(t+g)
-            flip = lambda n: 1            # both arguments advance with +t
+            first, second = cosh(t - g) / sinh(t - g), cosh(t + g) / sinh(t + g)
+            sign, second_sign = 1, lambda n: -1
         elif params.phase == PHASE_AF:
-            w_first = cosh(g + t) / sinh(g + t)
-            w_second = cosh(g - t) / sinh(g - t)
-            signs = lambda n: 1
-            flip = lambda n: (-1) ** n    # d/dt acts on (gamma - t)
+            first, second = cosh(g + t) / sinh(g + t), cosh(g - t) / sinh(g - t)
+            sign, second_sign = 1, lambda n: (-1) ** n
         else:
-            w_first = cos(g + t) / sin(g + t)
-            w_second = cos(g - t) / sin(g - t)
-            signs = lambda n: 1
-            flip = lambda n: (-1) ** n
-        values = []
-        for n in range(order_max + 1):
-            first = _poly_eval(polys[n], w_first)
-            second = _poly_eval(polys[n], w_second)
-            values.append(rounded(first + signs(n) * flip(n) * second, p))
-    return DerivativeTable(params, order_max, tuple(tuple(c) for c in polys),
-                           tuple(values))
+            first, second = cos(g + t) / sin(g + t), cos(g - t) / sin(g - t)
+            sign, second_sign = -1, lambda n: (-1) ** n
+        a = _riccati_taylor(first, sign, order_max)
+        b = _riccati_taylor(second, sign, order_max)
+        values = tuple(rounded(factorial(n) * (a[n] + second_sign(n) * b[n]), p)
+                       for n in range(order_max + 1))
+    return DerivativeTable(params, order_max, values)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +230,32 @@ def _orthogonal_norms(moments, N: int) -> list:
     return norms
 
 
+# The first round of a long sequence runs on this many orders only; the
+# growth of its loss from order 8 to 16 predicts the w of the full round.
+_PREFIX = 16
+
+
+def _round(params: PhaseParams, N: int, w: int):
+    """tau_n / c_n for n = 1..N at w bits, each run from its own phi table
+    at w and at w + 32, and the relative gap between the two runs per n."""
+    runs = []
+    for bits in (w, w + 32):
+        table = phi_derivatives(params, 2 * N - 2, Precision(bits))
+        with mp.workprec(bits):
+            norms = _orthogonal_norms(list(table.values), N)
+            runs.append(list(itertools.accumulate(
+                (h / factorial(k) ** 2 for k, h in enumerate(norms)),
+                lambda a, b: a * b)))
+    with mp.workprec(w + 32):
+        gaps = [abs((lo - hi) / hi) for lo, hi in zip(*runs)]
+    return runs[0], gaps
+
+
+def _loss(w: int, gap) -> int:
+    """Bits lost by a run at w bits whose rerun differs by gap (relative)."""
+    return max(0, w + int(mp.log(gap, 2))) if gap else 0
+
+
 def tau_sequence(params: PhaseParams, N_max: int,
                  p: Precision = Precision()) -> list:
     """tau_N / c_N for N = 1..N_max from one O(N_max^2) moment recurrence.
@@ -253,32 +264,39 @@ def tau_sequence(params: PhaseParams, N_max: int,
     mode weights of :func:`tau_discrete_sum`, the density of
     :func:`laplace_moment_check`), so tau_N / c_N = prod_{k<N} h_k / (k!)^2
     with the norms h_k of :func:`_orthogonal_norms`.  The moments are
-    ill-conditioned, so each result is certified by a rerun: the recurrence
-    runs at w = bits + 64 on the table rounded to w and at w + 32, and the
-    w run is returned when both agree to 2^(-bits-8) relative at every
-    order.  Otherwise their gap measures the loss L and the pair reruns at
-    w = bits + 64 + L; a third failed round raises PrecisionExhaustedError.
+    ill-conditioned, so each result is certified by a rerun: a round runs
+    the phi table and the recurrence at w and again at w + 32, and the w run
+    is returned when both agree to 2^(-bits-8) relative at every order.
+
+    The loss grows about linearly with N.  Beyond N_max = 16 a first round
+    at w = bits + 64 on orders 1..16 measures the losses L_8 and L_16, and
+    the full round runs at w = bits + 24 + 1.3 L (at least bits + 64), with
+    L = L_16 + (L_16 - L_8)(N_max - 16)/8 the running loss extrapolated to
+    N_max.  A failed round is rerun at w = bits + 64 + L for the loss L it
+    measured, or with twice the added bits w - bits when its gap exceeds
+    2^-32 (the w run then kept no correct bit, and L would measure w, not
+    the loss); a third failed round raises PrecisionExhaustedError.
     """
     if N_max < 1:
         raise ValueError("N must be >= 1")
     w = p.bits + 64
+    if N_max > _PREFIX:
+        _, gaps = _round(params, _PREFIX, w)
+        l8, l16 = _loss(w, gaps[7]), _loss(w, gaps[15])
+        predicted = l16 + (l16 - l8) * (N_max - _PREFIX) / 8
+        w = max(w, p.bits + 24 + int(1.3 * predicted))
     for _ in range(3):
-        table = phi_derivatives(params, 2 * N_max - 2, Precision(w + 32))
-        runs = []
-        for bits in (w, w + 32):
-            with mp.workprec(bits):
-                norms = _orthogonal_norms([+x for x in table.values], N_max)
-                runs.append(list(itertools.accumulate(
-                    (h / factorial(k) ** 2 for k, h in enumerate(norms)),
-                    lambda a, b: a * b)))
-        with mp.workprec(w + 32):
-            gap = max(abs((lo - hi) / hi) for lo, hi in zip(*runs))
+        run, gaps = _round(params, N_max, w)
+        gap = max(gaps)
         if gap <= mpf(2) ** (-p.bits - 8):
             with mp.workprec(w):
                 return [TauValue(n, rounded(s, p), rounded(log(abs(s)), p))
-                        for n, s in enumerate(runs[0], 1)]
-        loss = w + int(mp.log(gap, 2))
-        w = p.bits + 64 + loss
+                        for n, s in enumerate(run, 1)]
+        loss = _loss(w, gap)
+        if gap > mpf(2) ** -32:
+            w = p.bits + 2 * (w - p.bits)
+        else:
+            w = p.bits + 64 + loss
     raise PrecisionExhaustedError(
         f"tau_N/c_N runs 32 bits apart still differ by {mp.nstr(gap, 5)} "
         f"relative after 3 rounds (loss {loss} bits); increase Precision.bits")

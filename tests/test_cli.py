@@ -55,6 +55,14 @@ def test_exact_fe_beyond_n16(capsys):
     assert len(out.strip().splitlines()) == 9
 
 
+def test_exact_fe_n200(capsys):
+    # the loss at N=200 is about 840 bits; the first round predicts it
+    code, out, _ = run(["exact", "--phase", "fe", "--gamma", "0.4", "--t",
+                        "1.5", "--n", "200"], capsys)
+    assert code == 0
+    assert out.strip().splitlines()[1].startswith("200,")
+
+
 def test_exact_fe_negative_gamma(capsys):
     # Z_N changes sign with N; the logarithms are of magnitudes
     rows = {}

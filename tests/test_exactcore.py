@@ -2,7 +2,7 @@
 determinants, discrete-sum and Laplace cross-checks, bilinear residuals."""
 
 import pytest
-from mpmath import mp, mpf, sqrt, sinh, cosh, sin, cos, pi, exp, log
+from mpmath import mp, mpf, sqrt, sinh, cosh, sin, cos, cot, coth, pi, exp, log
 
 from sixvertex import (CutoffTooSmallError, PhaseDomainError,
                        PrecisionExhaustedError, Precision, c_factor,
@@ -93,11 +93,33 @@ class TestPhiDerivatives:
             fd = (plus.values[0] - minus.values[0]) / (2 * h)
             assert abs(fd - table.values[1]) < mpf(2) ** (-110)
 
-    def test_polynomials_are_integers(self):
-        prm = _params("af", "0.2", "1.0")
-        table = phi_derivatives(prm, 6, P)
-        assert all(isinstance(c, int) for poly in table.rep for c in poly)
-        assert table.rep[0] == (0, 1)
+    @pytest.mark.parametrize("phase,t,g", [
+        ("fe", "1.5", "0.4"), ("af", "0.3", "1"), ("af", "0", "1"),
+        ("d", "0.3", "1"), ("d", "0", "1")])
+    def test_table_against_closed_form_and_1024_bits(self, phase, t, g):
+        # orders 0..24 against mpmath's numerical derivatives of the closed
+        # form, which share nothing with the recurrence; orders up to 190
+        # (tau to N=96) against the recurrence at 1024 bits.  At t = 0 phi is
+        # even, so its odd orders vanish.
+        prm = phase_params(phase, t, g, P)
+        table = phi_derivatives(prm, 190, P)
+        ref = phi_derivatives(phase_params(phase, t, g, Precision(1024)), 190,
+                              Precision(1024))
+        tol = mpf(2) ** (-P.bits + 8)
+        with mp.workprec(P.bits + 64):
+            T, G = mpf(t), mpf(g)
+            phi = {"fe": lambda s: coth(s - G) - coth(s + G),
+                   "af": lambda s: coth(G + s) + coth(G - s),
+                   "d": lambda s: cot(G + s) + cot(G - s)}[phase]
+            for n, r in enumerate(mp.diffs(phi, T, 24)):
+                v = table.values[n]
+                if T == 0 and n % 2:
+                    assert v == 0, n
+                else:
+                    assert abs(v - r) <= tol * abs(r), n
+        with mp.workprec(1024):
+            for n, (v, r) in enumerate(zip(table.values, ref.values)):
+                assert abs(v - r) <= tol * abs(r), n
 
 
 class TestTau:
@@ -180,6 +202,51 @@ class TestTau:
             tau_sequence(_params("af", "0.3", "1.0"), 4, P)
         assert len(precs) == 6
         assert precs[0] < precs[2] < precs[4]
+
+    @pytest.mark.parametrize("factor", [2, mpf(2) ** 1000], ids=["gap1", "gap2e1000"])
+    def test_gap_near_one_doubles_added_bits(self, factor, monkeypatch):
+        # a first run with no correct bit: w + log2(gap) would measure w and
+        # the gap, not the loss, so the next round doubles w - bits instead
+        precs = []
+        norms = exactcore._orthogonal_norms
+
+        def broken_first_run(moments, N):
+            precs.append(mp.prec)
+            out = norms(moments, N)
+            return [factor * h for h in out] if len(precs) == 1 else out
+
+        monkeypatch.setattr(exactcore, "_orthogonal_norms", broken_first_run)
+        seq = tau_sequence(_params("af", "0.3", "1.0"), 4, P)
+        assert len(precs) == 4
+        assert precs[2] - P.bits == 2 * (precs[0] - P.bits)
+        monkeypatch.undo()
+        assert seq == tau_sequence(_params("af", "0.3", "1.0"), 4, P)
+
+    @pytest.mark.parametrize("phase,t,g,n_max", [
+        ("af", "0.3", "1", 96), ("d", "0.3", "1", 32), ("fe", "1.5", "0.4", 24)])
+    def test_one_round_after_the_prefix(self, phase, t, g, n_max, monkeypatch):
+        # the 16-order first round predicts a w at which N_max certifies
+        sizes = []
+        norms = exactcore._orthogonal_norms
+
+        def counted(moments, N):
+            sizes.append(N)
+            return norms(moments, N)
+
+        monkeypatch.setattr(exactcore, "_orthogonal_norms", counted)
+        tau_sequence(_params(phase, t, g), n_max, P)
+        assert sizes == [16, 16, n_max, n_max]
+
+    def test_rows_certified_against_the_decimal_input(self):
+        # log tau_N moves with t in proportion to N^2: rounding t to 256 bits
+        # put the N=96 row 2^-245.5 off the decimal input
+        seq = tau_sequence(phase_params("af", "0.3", "1", P), 96, P)
+        p_ref = Precision(1024)
+        ref = tau_sequence(phase_params("af", "0.3", "1", p_ref), 96, p_ref)
+        with mp.workprec(1024):
+            for tv, tr in zip(seq, ref):
+                rel = (tv.scaled_tau - tr.scaled_tau) / tr.scaled_tau
+                assert abs(rel) < mpf(2) ** (-248), tv.n
 
     @pytest.mark.parametrize("phase,t,g,n_max", [
         ("fe", "1.5", "0.4", 24), ("af", "0.3", "1", 96)])
