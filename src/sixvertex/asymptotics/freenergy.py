@@ -41,7 +41,7 @@ def _f_value(params: PhaseParams, p: Precision):
     if params.phase == PHASE_D:
         return log((pi / (2 * g)) / cos(pi * t / (2 * g)))
     pp = Precision(p.bits + 32)
-    ell = elliptic_data_from_gamma(g, pp)
+    ell = elliptic_data_from_gamma(params.gamma, pp)
     return log((pi / (2 * g)) * theta1_prime_zero(ell.q, pp)
                / theta(2, pi * mpf(params.zeta) / 2, ell.q, pp))
 

@@ -25,7 +25,7 @@ import json
 import os
 import sys
 
-from mpmath import mp, mpf, sqrt, pi
+from mpmath import mp, mpf
 
 from . import asymptotics
 from .errors import SixVertexError, PhaseDomainError
@@ -34,8 +34,7 @@ from .exactcore import (PHASES, laplace_moment_check, partition_Z,
                         weights_from, z_from_tau)
 from .oracle import Z_bruteforce
 from .precision import Precision, rounded
-from .specfun import (elliptic_E, elliptic_K, elliptic_data_from_gamma,
-                      jacobi_sn_cn_dn, jacobi_zeta, theta, theta1_prime_zero)
+from .specfun import identity_checks
 
 ENV_BITS = "SIXVERTEX_BITS"
 
@@ -301,7 +300,7 @@ def cmd_check(args):
                     rel = (zdet - zbf) / zbf
                 checks.append((f"oracle_{phase}_N{n}", rel, tol))
     elif args.target == "identities":
-        checks = _identity_checks(p)
+        checks = identity_checks(p)
     elif args.target == "laplace":
         prm = phase_params("d", args.t or "0.3", args.gamma or "1.0", p)
         checks.append(("laplace_moments_max_err",
@@ -329,50 +328,6 @@ def cmd_check(args):
     meta = {"target": args.target, "bits": args.bits}
     _emit(rows, header, args, meta)
     return 0 if ok else 1
-
-
-def _identity_checks(p):
-    """The specfun identity suite at precision p (bound 2^(-bits+8))."""
-    import random
-    rng = random.Random(20260809)
-    tol = mpf(2) ** (-p.bits + 8)
-    out = []
-    with p.work():
-        # Jacobi identities at sampled (u, k)
-        for i in range(4):
-            k = mpf(rng.uniform(0.05, 0.95))
-            K = elliptic_K(k, p)
-            u = mpf(rng.uniform(0, 1)) * K
-            sn, cn, dn = jacobi_sn_cn_dn(u, k, p)
-            out.append((f"sn2+cn2-1_sample{i}", sn ** 2 + cn ** 2 - 1, tol))
-            out.append((f"dn2+k2sn2-1_sample{i}", dn ** 2 + k ** 2 * sn ** 2 - 1, tol))
-        # Legendre relation
-        k = mpf("0.77")
-        kp = sqrt(1 - k ** 2)
-        E, Ep = elliptic_E(k, p), elliptic_E(kp, p)
-        K, Kp = elliptic_K(k, p), elliptic_K(kp, p)
-        out.append(("legendre_relation", E * Kp + Ep * K - K * Kp - pi / 2, tol))
-        # theta_1'(0) = theta_2 theta_3 theta_4 (0)
-        for q in ("0.001", "0.01", "0.1", "0.3"):
-            q = mpf(q)
-            lhs = theta1_prime_zero(q, p)
-            rhs = theta(2, 0, q, p) * theta(3, 0, q, p) * theta(4, 0, q, p)
-            out.append((f"theta1prime_q{q}", (lhs - rhs) / rhs, tol))
-        # Zeta oddness / periodicity / quarter-period zero
-        k = mpf("0.6")
-        K = elliptic_K(k, p)
-        u = mpf("0.37") * K
-        out.append(("zeta_odd", jacobi_zeta(u, k, p) + jacobi_zeta(-u, k, p), tol))
-        out.append(("zeta_period_2K",
-                    jacobi_zeta(u + 2 * K, k, p) - jacobi_zeta(u, k, p), tol))
-        out.append(("zeta_at_K", jacobi_zeta(K, k, p), tol))
-        # nome round trip
-        for gs in ("0.2", "1", "5"):
-            ed = elliptic_data_from_gamma(mpf(gs), p)
-            out.append((f"KprimeK_gamma{gs}",
-                        ed.bigKprime / ed.bigK - pi / (2 * mpf(gs)),
-                        mpf(2) ** (-p.bits // 2)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ them); degenerate values and classical identities are asserted on top.
 """
 
 import random
+import sys
 
 import mpmath
 import pytest
@@ -13,7 +14,9 @@ from mpmath import mp, mpf, sqrt, quad, sin, pi, exp
 
 from sixvertex import (DomainError, Precision, elliptic_E, elliptic_K,
                        elliptic_data_from_gamma, jacobi_sn_cn_dn, jacobi_zeta,
-                       jacobi_zeta_from_E, theta, theta1_prime_zero)
+                       jacobi_zeta_from_E, phase_params, theta, theta1_prime_zero)
+from sixvertex import cli, specfun
+from sixvertex.specfun import identity_checks
 
 P = Precision(256)
 TOL = mpf(2) ** (-248)          # 2^(-bits+8)
@@ -138,13 +141,48 @@ def test_theta2_small_nome_series():
         assert abs(theta(2, 0, q, P) - oracle) < TOL
 
 
-def test_theta_against_mpmath():
-    with mp.workprec(300):
-        q, z = mpf("0.17"), mpf("0.83")
-        for j in (1, 2, 3, 4):
-            assert abs(theta(j, z, q, P) - mpmath.jtheta(j, z, q)) < TOL
-            assert abs(theta(j, z, q, P, derivative=1)
-                       - mpmath.jtheta(j, z, q, 1)) < TOL
+THETA_NOMES = {               # id -> nome, built at the test's precision
+    "0.001": lambda: mpf("0.001"),
+    "exp(-pi^2/2)": lambda: exp(-pi ** 2 / 2),    # the af nome at gamma=1
+    "0.17": lambda: mpf("0.17"),
+    "0.3": lambda: mpf("0.3"),
+    "0.6": lambda: mpf("0.6"),
+}
+
+
+def _theta_l1(j, z, q, derivative, bits):
+    """Sum of the absolute terms of the theta_j series (or its z-derivative)."""
+    total = mpf(1) if j in (3, 4) and derivative == 0 else mpf(0)
+    n = 0 if j in (1, 2) else 1
+    while True:
+        m = 2 * n + 1 if j in (1, 2) else 2 * n
+        mag = 2 * q ** ((n + mpf(1) / 2) ** 2 if j in (1, 2) else n ** 2)
+        trig = mpmath.sin(m * z) if (j == 1) != (derivative == 1) \
+            else mpmath.cos(m * z)
+        total += mag * m ** derivative * abs(trig)
+        if mag * m < mpf(2) ** (-bits - 16) and n >= 2:
+            return total
+        n += 1
+
+
+@pytest.mark.parametrize("zs", ["0", "1e-20", "0.83", "-2.2", "40.1", "157.3"])
+@pytest.mark.parametrize("qs", list(THETA_NOMES))
+@pytest.mark.parametrize("bits", [128, 256, 1024, 2048])
+def test_theta_against_mpmath(bits, qs, zs):
+    # bound: 2^(-bits+8) times the series' l1 norm (a 64-bit estimate is
+    # enough), plus the oracle's own rounding at 4*bits
+    p = Precision(bits)
+    with mp.workprec(bits):
+        q, z = THETA_NOMES[qs](), mpf(zs)
+    for j in (1, 2, 3, 4):
+        for d in (0, 1):
+            got = theta(j, z, q, p, derivative=d)
+            with mp.workprec(4 * bits):
+                err = abs(got - mpmath.jtheta(j, z, q, d))
+            with mp.workprec(64):
+                bound = mpf(2) ** (-bits + 8) * _theta_l1(j, z, q, d, bits) \
+                    + mpf(2) ** (-4 * bits + 8)
+            assert err <= bound, (j, d, mp.nstr(err, 5), mp.nstr(bound, 5))
 
 
 def test_theta_domain_errors():
@@ -211,3 +249,54 @@ def test_precision_scaling():
         zlo = jacobi_zeta(mpf("0.7"), k, Precision(128))
         zhi = jacobi_zeta(mpf("0.7"), k, Precision(256))
         assert abs(zlo - zhi) < mpf(2) ** (-64)
+
+
+@pytest.mark.parametrize("bits", [128, 2048])
+def test_identity_suite_passes(bits):
+    # the suite that `sixvertex check identities` prints
+    rows = identity_checks(Precision(bits))
+    assert len(rows) == 19
+    failed = [(name, mp.nstr(val, 5)) for name, val, tol in rows
+              if not abs(val) < tol]
+    assert not failed
+
+
+def test_bulk_grid_builds_elliptic_data_once(monkeypatch):
+    # a multi-zeta af bulk grid at one gamma: the gamma-only data is built in
+    # the first row and reused; later rows evaluate only zeta-dependent theta
+    import sys
+    from sixvertex import cli, specfun
+    original = specfun.theta
+    calls = []
+
+    def counting_theta(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sixvertex") and getattr(module, "theta", None) is original:
+            monkeypatch.setattr(module, "theta", counting_theta)
+    bits, gamma = 512, "0.9"
+    cache = specfun._elliptic_data
+    cache.cache_clear()
+    per_row = []
+    for t in ("-0.72", "-0.3", "0.05", "0.4", "0.81"):
+        before = len(calls)
+        cli._bulk_row(("af", t, gamma, bits))
+        per_row.append(len(calls) - before)
+    assert all(n <= 3 for n in per_row[1:]), per_row
+    assert per_row[0] > per_row[1], per_row
+    info = cache.cache_info()
+    assert info.misses == 1 and info.hits == 2 * len(per_row) - 1, info
+
+    pp = Precision(bits + 32)
+    g = phase_params("af", "0.4", gamma, Precision(bits)).gamma
+    cached = elliptic_data_from_gamma(g, pp)
+    assert cache.cache_info().misses == 1
+    cache.cache_clear()
+    fresh = elliptic_data_from_gamma(g, pp)
+    assert cache.cache_info().misses == 1 and fresh is not cached
+    with mp.workprec(bits + 64):
+        for field in ("k", "kprime", "bigK", "bigKprime", "q"):
+            assert abs(getattr(cached, field) - getattr(fresh, field)) \
+                < mpf(2) ** (-bits + 8), field
