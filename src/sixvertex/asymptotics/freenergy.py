@@ -34,16 +34,16 @@ class FreeEnergy:
     z_limit: object
 
 
-def _f_value(params: PhaseParams, p: Precision):
-    t, g = mpf(params.t), mpf(params.gamma)
-    if params.phase == PHASE_FE:
+def _f_value(phase, t, g, p: Precision):
+    """f(t); pass gamma as PhaseParams keeps it, the elliptic data key."""
+    if phase == PHASE_FE:
         return -log(sinh(t - abs(g)))
-    if params.phase == PHASE_D:
+    if phase == PHASE_D:
         return log((pi / (2 * g)) / cos(pi * t / (2 * g)))
     pp = Precision(p.bits + 32)
-    ell = elliptic_data_from_gamma(params.gamma, pp)
-    return log((pi / (2 * g)) * theta1_prime_zero(ell.q, pp)
-               / theta(2, pi * mpf(params.zeta) / 2, ell.q, pp))
+    q = elliptic_data_from_gamma(g, pp).q
+    return log((pi / (2 * g)) * theta1_prime_zero(q, pp)
+               / theta(2, pi * t / (2 * g), q, pp))
 
 
 def bulk_f(params: PhaseParams, p: Precision = Precision()) -> FreeEnergy:
@@ -55,7 +55,7 @@ def bulk_f(params: PhaseParams, p: Precision = Precision()) -> FreeEnergy:
         nome q = exp(-pi^2/(2 gamma))
     """
     with p.work():
-        f = _f_value(params, p)
+        f = _f_value(params.phase, params.t, params.gamma, p)
         w = weights_from(params, Precision(p.bits + 32))
         ab = mpf(w.a) * mpf(w.b)
         F = -log(ab) - f
@@ -109,7 +109,7 @@ def f_small_gamma(params: PhaseParams, m_max: int, p: Precision = Precision()):
     with p.work():
         t, g = mpf(params.t), mpf(params.gamma)
         q = exp(-pi ** 2 / (2 * g))
-        total = log((pi / (2 * g)) / cos(pi * t / (2 * g)))
+        total = _f_value(PHASE_D, t, g, p)
         for m in range(1, m_max + 1):
             total -= 2 * (mpf(1) / m) * q ** (2 * m) / (1 - q ** (2 * m)) \
                 * (1 - (-1) ** m * cos(m * pi * t / g))
@@ -176,29 +176,15 @@ def ode_check(params: PhaseParams, p: Precision = Precision(), n: int = 6,
     h = mpf(2) ** (-(p.bits // 5))
     with pw.work():
         t0, g = mpf(params.t), mpf(params.gamma)
-        if params.phase in (PHASE_FE, PHASE_D):
-            if params.phase == PHASE_FE:
-                fun = lambda tt: -log(sinh(tt - abs(g)))
-            else:
-                fun = lambda tt: log((pi / (2 * g)) / cos(pi * tt / (2 * g)))
-            f0, _, d2 = _derivatives(fun, t0, h)
-            resid = (d2 - exp(2 * f0)) / exp(2 * f0)
-            return rounded(abs(resid), p)
-
-        ell = elliptic_data_from_gamma(g, pw)
-        q = mpf(ell.q)
-        th1p = theta1_prime_zero(q, pw)
-
-        def f_of_t(tt):
-            return log((pi / (2 * g)) * th1p / theta(2, pi * tt / (2 * g), q, pw))
-
-        if not theta_factor:
+        f_of_t = lambda tt: _f_value(params.phase, tt, g, p)
+        if params.phase != PHASE_AF or not theta_factor:
             f0, _, d2 = _derivatives(f_of_t, t0, h)
             resid = (d2 - exp(2 * f0)) / exp(2 * f0)
             return rounded(abs(resid), p)
 
         if n < 1:
             raise ValueError("n must be >= 1")
+        q = elliptic_data_from_gamma(g, pw).q
 
         def big_a(N, tt):
             arg = (pi / 2) * (1 + tt / g) * N

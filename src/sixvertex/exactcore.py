@@ -6,8 +6,8 @@ single generating function phi(t).  Everything here is exact at finite N:
 Boltzmann weights, the derivatives of phi from the Taylor recurrence of its
 Riccati equation, the scaled determinant tau_N / c_N with
 c_N = (prod_{n<N} n!)^2, the partition function Z_N = (a*b)^(N^2) * tau_N / c_N,
-independent discrete-sum and Laplace-moment cross-checks, and the bilinear
-(Toda-type) residual in t.
+independent cross-checks (a Stieltjes pass on the fe/af modes with an exp(T)
+tail bound and a rerun; Laplace moments in d), and the Toda residual in t.
 
 tau_N / c_N is a Hankel determinant of the moments phi^(n)(t) of a measure
 of one sign (phi is its Laplace transform in all three phases), hence a
@@ -331,64 +331,82 @@ def partition_Z(params: PhaseParams, N: int, p: Precision = Precision()):
 # ---------------------------------------------------------------------------
 
 
+def _stieltjes(nodes, weights, N: int):
+    """Norms h_0..h_{N-1} of the monic orthogonal polynomials pi_k of
+    sum_l weights[l] delta(x - nodes[l]), and the Christoffel-Darboux kernel
+    K(x) = sum_k pi_k(x)^2 / |h_k| at every node, by the discretized
+    Stieltjes procedure (Gautschi 2004, section 2.2) on the values of pi_k
+    at the nodes; no moment is formed.  A node of weight 0 only carries K."""
+    prev, cur = [0] * len(nodes), [mpf(1)] * len(nodes)
+    norms, kernel = [], [0] * len(nodes)
+    for k in range(N):
+        mass = [w * v * v for w, v in zip(weights, cur)]
+        norms.append(mp.fsum(mass))
+        kernel = [s + v * v / abs(norms[k]) for s, v in zip(kernel, cur)]
+        if k + 1 == N:
+            return norms, kernel
+        alpha = mp.fdot(mass, nodes) / norms[k]
+        beta = norms[k] / norms[k - 1] if k else 0
+        prev, cur = cur, [(x - alpha) * v - beta * u
+                          for x, v, u in zip(nodes, cur, prev)]
+
+
 def tau_discrete_sum(params: PhaseParams, N: int, cutoff: int,
                      p: Precision = Precision()):
-    """Unscaled tau_N as an explicit N-fold sum over distinct integer modes.
+    """Unscaled tau_N = h_0 ... h_{N-1} from one O(cutoff * N) Stieltjes
+    pass (:func:`_stieltjes`) on the modes |l| <= cutoff of the measure with
+    moments phi^(n)(t): fe: x_l = -2l, w_l = 4 exp(-2tl) sinh(2 gamma l),
+    l >= 1; af: x_l = 2l, w_l = 2 exp(2tl - 2 gamma |l|).  No phi table.
 
-    fe: tau_N = 2^(N^2+N) * sum_{0<=l_1<...<l_N<=cutoff} D(l)^2
-                  exp(-2t sum l_i) prod sinh(2 gamma l_i)
-    af: tau_N = 2^(N^2)  * sum_{-cutoff<=l_1<...<l_N<=cutoff} D(l)^2
-                  prod exp(2 t l_i - 2 gamma |l_i|)
-
-    The sum runs over strictly increasing tuples; symmetry of the squared
-    Vandermonde D(l)^2 supplies the N! that relabels them.  The prefactors
-    follow from the mode expansion of phi (the N=1 case telescopes to
-    phi(t), which the tests pin down).  Raises CutoffTooSmallError unless a
-    geometric tail bound certifies relative accuracy 2**(-bits/2).
+    The modes beyond the cutoff multiply tau_N by det(I + A) <= exp(T),
+    T = sum_{|l|>cutoff} |w_l| K(x_l), with K from the same pass at the near
+    tail modes.  The zeros of pi_k lie inside the node range, so at distance
+    d from it a step of 2 multiplies |w_l| K(x_l) by at most
+    r = q ((d+2)/d)^(2N-2), q the ratio of successive |w_l| (constant in af,
+    falling in fe); once r <= sqrt(q) < 1, a geometric series bounds the
+    rest.  Raises CutoffTooSmallError when exp(T) - 1, and
+    PrecisionExhaustedError when the gap to a rerun at 32 more bits,
+    exceeds 2^(-bits/2) relative; CutoffTooSmallError also below N modes.
     """
     if params.phase not in (PHASE_FE, PHASE_AF):
         raise PhaseDomainError("discrete sum exists in fe/af phases only")
     if N < 1:
         raise ValueError("N must be >= 1")
+    t, g = params.t, params.gamma
+    if params.phase == PHASE_FE:
+        modes, node, sides = range(1, cutoff + 1), -2, (1,)
+        weight = lambda l: 4 * exp(-2 * t * l) * sinh(2 * g * l)
+    else:
+        modes, node, sides = range(-cutoff, cutoff + 1), 2, (1, -1)
+        weight = lambda l: 2 * exp(2 * t * l - 2 * g * abs(l))
+    if len(modes) < N:
+        raise CutoffTooSmallError(f"{len(modes)} modes cannot carry N={N}")
+    with p.work(64):
+        tail = []  # (l, 1) per near tail mode, (l, 1/(1 - r)) closing a side
+        for side in sides:
+            for m in itertools.count(cutoff + 1):
+                q = abs(weight(side * (m + 1)) / weight(side * m))
+                r = q * (1 + mpf(1) / (m - cutoff)) ** (2 * N - 2)
+                if r <= mp.sqrt(q) < 1:
+                    tail.append((side * m, 1 / (1 - r)))
+                    break
+                tail.append((side * m, 1))
+        nodes, weights = [node * l for l in modes], [weight(l) for l in modes]
+        rerun = mp.fprod(_stieltjes(nodes, weights, N)[0])
     with p.work():
-        t, g = mpf(params.t), mpf(params.gamma)
-        if params.phase == PHASE_FE:
-            modes = range(0, cutoff + 1)
-            weight = {l: 4 * exp(-2 * t * l) * sinh(2 * g * l) for l in modes}
-            pref = mpf(2) ** (N * N + N) / mpf(4) ** N
-        else:
-            modes = range(-cutoff, cutoff + 1)
-            weight = {l: 2 * exp(2 * t * l - 2 * g * abs(l)) for l in modes}
-            pref = mpf(2) ** (N * N) / mpf(2) ** N
-        total = mpf(0)
-        shell_abs = {}
-        for tup in itertools.combinations(modes, N):
-            van = 1
-            for i in range(N):
-                for j in range(i + 1, N):
-                    van *= tup[j] - tup[i]
-            term = mpf(van * van)
-            for l in tup:
-                term *= weight[l]
-            total += term
-            shell = max(abs(l) for l in tup)
-            shell_abs[shell] = shell_abs.get(shell, mpf(0)) + abs(term)
-        total *= pref
-        # geometric continuation of the outermost shells bounds the tail
-        tops = sorted(shell_abs)[-2:]
-        if len(tops) < 2 or shell_abs[tops[-1]] == 0:
-            raise CutoffTooSmallError("cutoff too small to estimate a tail")
-        ratio = shell_abs[tops[-1]] / shell_abs[tops[-2]]
-        if ratio >= 1:
+        norms, kernel = _stieltjes(nodes + [node * l for l, _ in tail],
+                                   weights + [0] * len(tail), N)
+        tau, tol = mp.fprod(norms), mpf(2) ** (-p.bits // 2)
+        gap = abs(tau / rerun - 1)
+        if gap > tol:
+            raise PrecisionExhaustedError(
+                f"rerun gap {mp.nstr(gap, 5)} > 2^(-bits/2); raise bits")
+        T = mp.fsum(abs(weight(l)) * f * K
+                    for (l, f), K in zip(tail, kernel[len(modes):]))
+        if mp.expm1(T) > tol:
             raise CutoffTooSmallError(
-                f"shell sums not yet decaying at cutoff={cutoff}")
-        tail = pref * shell_abs[tops[-1]] * ratio / (1 - ratio)
-        if not abs(total) > 0 or tail / abs(total) > mpf(2) ** (-p.bits // 2):
-            raise CutoffTooSmallError(
-                f"tail bound {mp.nstr(tail, 5)} exceeds 2^(-bits/2) of the sum; "
-                f"raise cutoff above {cutoff}")
-        out = total
-    return rounded(out, p)
+                f"tail bound {mp.nstr(T, 5)}; raise cutoff above {cutoff}")
+    return rounded(tau, p)
 
 
 # ---------------------------------------------------------------------------

@@ -265,8 +265,9 @@ def _elliptic_data(gamma, p: Precision):
         )
 
 
+@lru_cache(maxsize=64)
 def theta1_prime_zero(q, p: Precision):
-    """theta_1'(0, q), the z-derivative of theta_1 at the origin."""
+    """theta_1'(0, q) = d/dz theta_1 at z = 0, memoized per (q, bits)."""
     return theta(1, 0, q, p, derivative=1)
 
 

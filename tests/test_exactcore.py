@@ -342,7 +342,6 @@ class TestDiscreteSum:
             ref = mpf(det.scaled_tau) * c_factor(4)
             assert abs((total - ref) / ref) < mpf(2) ** (-60)
 
-    @pytest.mark.slow
     def test_af_n4_matches_determinant(self):
         p = Precision(96)
         prm = _params("af", "0.3", "1.0", p)
@@ -352,11 +351,47 @@ class TestDiscreteSum:
             ref = mpf(det.scaled_tau) * c_factor(4)
             assert abs((total - ref) / ref) < mpf(2) ** (-44)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fe_negative_gamma_matches_determinant(self, n):
+        # every mode weight is negative, so tau_N carries the sign (-1)^N
+        p = Precision(128)
+        prm = _params("fe", "1.5", "-0.4", p)
+        total = tau_discrete_sum(prm, n, 40, p)
+        det = tau_scaled(prm, n, p)
+        with mp.workprec(160):
+            ref = mpf(det.scaled_tau) * c_factor(n)
+            assert (total > 0) == (n % 2 == 0)
+            assert abs((total - ref) / ref) < mpf("2e-31")
+
+    @pytest.mark.parametrize("phase,t,g,cutoff", [
+        ("af", "0.3", "1.0", 240),
+        ("fe", "1.5", "0.4", 200),
+    ])
+    def test_n64_matches_tau_sequence(self, phase, t, g, cutoff):
+        p = Precision(128)
+        prm = _params(phase, t, g, p)
+        total = tau_discrete_sum(prm, 64, cutoff, p)
+        seq = tau_sequence(prm, 64, p)
+        with mp.workprec(160):
+            ref = mpf(seq[-1].scaled_tau) * c_factor(64)
+            assert abs((total - ref) / ref) < mpf(2) ** (-p.bits // 2)
+
     def test_cutoff_too_small_raises(self):
         p = Precision(128)
         prm = _params("af", "0.3", "1.0", p)
         with pytest.raises(CutoffTooSmallError):
             tau_discrete_sum(prm, 2, 6, p)
+
+    def test_fewer_modes_than_n_raises(self):
+        with pytest.raises(CutoffTooSmallError):
+            tau_discrete_sum(_params("fe", "1.5", "0.4"), 3, 2, P)
+
+    def test_rounding_loss_raises(self):
+        # at 64 bits the fe pass keeps no correct digit by N=64; only the
+        # rerun at 32 more bits sees it
+        p = Precision(64)
+        with pytest.raises(PrecisionExhaustedError):
+            tau_discrete_sum(_params("fe", "1.5", "0.4", p), 64, 64, p)
 
     def test_d_phase_rejected(self):
         with pytest.raises(PhaseDomainError):
