@@ -14,16 +14,27 @@ of one sign (phi is its Laplace transform in all three phases), hence a
 product of orthogonal-polynomial norms: one O(N^2) Chebyshev-algorithm pass
 yields tau_1/c_1 .. tau_N/c_N at once.  The phi table and the pass are
 certified together by a rerun of both at 32 more bits, and a first round on
-16 orders predicts the precision that a long sequence needs
-(:func:`tau_sequence`)."""
+16 orders (8 for N <= 16) predicts the precision that a long sequence needs
+(:func:`tau_sequence`).
+
+Both O(N^2) loops run on Python integers in scaled fixed point: the Taylor
+coefficients of the Riccati recurrence scaled by a power of two per order,
+the Chebyshev pass's mixed moments by one per anti-diagonal.  Every shift
+and division rounds toward zero on the magnitude, so negated moments give
+exactly negated norms; only O(N) values (the recurrence coefficients and
+the norms) are mpf.  Each loop loses about as many bits as the same loop in
+mpf arithmetic, and costs 0.2 to 0.4 of it up to about 1000 bits, where
+the mpf object overhead dominated; at 1400 to 3000 bits the integer
+products themselves are most of the cost, and the gain falls to 1.2-2x."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from math import factorial
+from operator import mul
 
-from mpmath import mp, mpf, sin, cos, sinh, cosh, exp, log, pi, quad
+from mpmath import mp, mpf, sin, cos, sinh, cosh, exp, log, nint, pi, quad
 
 from .errors import (
     CutoffTooSmallError,
@@ -109,6 +120,38 @@ def weights_from(params: PhaseParams, p: Precision = Precision()) -> Weights:
 
 
 # ---------------------------------------------------------------------------
+# Fixed-point integers
+#
+# The phi table and the Chebyshev pass run on Python integers, each standing
+# for an integer times a power of two fixed by its position.  Every rounding
+# is toward zero on the magnitude, so negated inputs give exactly negated
+# outputs.
+# ---------------------------------------------------------------------------
+
+
+def _fixed(x, e: int) -> int:
+    """x * 2^e as an integer, rounded toward zero."""
+    sign, man, ex, _ = x._mpf_
+    shift = ex + e
+    man = man << shift if shift >= 0 else man >> -shift
+    return -man if sign else man
+
+
+def _shr(x: int, s: int) -> int:
+    """x / 2^s rounded toward zero (s >= 0)."""
+    return x >> s if x >= 0 else -(-x >> s)
+
+
+def _mantissa(c, steps) -> tuple:
+    """(m, e) with c = m 2^e exactly and e <= min(steps): c times an integer
+    that is scaled down by 2^step is m times it shifted right by
+    step - e >= 0."""
+    sign, m, e, _ = c._mpf_
+    lift = max(0, e - min(steps))
+    return (-m if sign else m) << lift, e - lift
+
+
+# ---------------------------------------------------------------------------
 # Derivatives of phi(t)
 #
 # phi is a sum of two cotangent-type terms y(x), each a solution of a
@@ -119,23 +162,32 @@ def weights_from(params: PhaseParams, p: Precision = Precision()) -> Weights:
 # ---------------------------------------------------------------------------
 
 
-def _riccati_taylor(y0, sign, order_max: int) -> list:
+def _riccati_taylor(y0, sign, s: int, order_max: int, W: int) -> list:
     """Taylor coefficients a_0..a_order_max of the solution of y' = sign - y^2
-    with y = y0 at the expansion point:
+    with y = y0 at the expansion point, as the integers
+    A_n = a_n 2^(s(n+1) + W), from
 
         a_{n+1} = (sign * [n = 0] - sum_{i<=n} a_i a_{n-i}) / (n + 1).
 
-    The convolution is symmetric, so half of it is summed (O(order_max^2)
-    multiplications in all), each half-sum exactly and rounded once.
+    2^s is at least the radius of convergence r, and a_n is about
+    +-r^-(n+1) (the residue 1 of the nearest pole), so |A_n| keeps about
+    W bits or more at every order.  In these units the convolution is an
+    exact integer dot product whose symmetric half is summed
+    (O(order_max^2) products in all); then one shift by W and one division
+    by n + 1, both toward zero, give A_{n+1}.  2s + 2W >= 0 keeps the
+    constant term an integer.
     """
-    a = [y0]
+    A = [_fixed(y0, s + W)]
     for n in range(order_max):
         k = (n + 1) // 2
-        conv = 2 * mp.fdot(a[:k], a[n:n - k:-1])
+        conv = 2 * sum(map(mul, A[:k], A[n:n - k:-1]))
         if n % 2 == 0:
-            conv += a[n // 2] ** 2
-        a.append(((sign if n == 0 else 0) - conv) / (n + 1))
-    return a
+            conv += A[n // 2] ** 2
+        if n == 0:
+            conv -= sign << (2 * s + 2 * W)
+        q = _shr(-conv, W)
+        A.append(q // (n + 1) if q >= 0 else -(-q // (n + 1)))
+    return A
 
 
 @dataclass(frozen=True)
@@ -151,35 +203,52 @@ class DerivativeTable:
 def phi_derivatives(params: PhaseParams, order_max: int,
                     p: Precision = Precision()) -> DerivativeTable:
     """Derivative table of phi(t) up to order_max, from the Taylor
-    recurrence of :func:`_riccati_taylor` (O(order_max^2) operations).
+    recurrence of :func:`_riccati_taylor` (O(order_max^2) integer
+    products).
 
     fe: phi = coth(t-gamma) - coth(t+gamma)
     af: phi = coth(gamma+t) + coth(gamma-t)
     d:  phi = cot(gamma+t) + cot(gamma-t)
     With a_n, b_n the Taylor coefficients of the first and second term in
-    their own argument, phi^(n)(t) = n! (a_n - b_n) in fe and
+    their own argument x, phi^(n)(t) = n! (a_n - b_n) in fe and
     n! (a_n + (-1)^n b_n) in af and d, where d/dt acts on gamma - t.  The
-    recurrence runs at bits + 32 and loses a few bits (about 10 at order
-    600), so values are good to about 2^(-bits) relative.
+    radius r of each series is the distance from x to the nearest pole:
+    |x| for coth (fe: |t -+ gamma|, af: gamma +- t), and the distance of x
+    to pi*Z for cot.  Each series runs in fixed point at W = bits + 32
+    (the scale 2^s of :func:`_riccati_taylor` is the least power of two
+    above r), n! (a_n +- b_n) is formed exactly from the two integer
+    series, and each value is rounded once to bits.  Against a 1600-bit
+    reference the fixed-point series at bits = 256 lose at most 8.4 of
+    their W bits up to order 190 and 10.0 up to order 598 (fe t=1.5
+    gamma=0.4, af and d t=0.3 gamma=1), so values are good to about
+    2^(-bits) relative.
     """
     if order_max < 0:
         raise ValueError("order_max must be >= 0")
     with p.work():
+        W = mp.prec
         t, g = mpf(params.t), mpf(params.gamma)
         if params.phase == PHASE_FE:
-            first, second = cosh(t - g) / sinh(t - g), cosh(t + g) / sinh(t + g)
-            sign, second_sign = 1, lambda n: -1
-        elif params.phase == PHASE_AF:
-            first, second = cosh(g + t) / sinh(g + t), cosh(g - t) / sinh(g - t)
-            sign, second_sign = 1, lambda n: (-1) ** n
+            points, second_sign = (t - g, t + g), lambda n: -1
         else:
-            first, second = cos(g + t) / sin(g + t), cos(g - t) / sin(g - t)
-            sign, second_sign = -1, lambda n: (-1) ** n
-        a = _riccati_taylor(first, sign, order_max)
-        b = _riccati_taylor(second, sign, order_max)
-        values = tuple(rounded(factorial(n) * (a[n] + second_sign(n) * b[n]), p)
-                       for n in range(order_max + 1))
-    return DerivativeTable(params, order_max, values)
+            points, second_sign = (g + t, g - t), lambda n: (-1) ** n
+        series = []
+        for x in points:
+            if params.phase == PHASE_D:
+                y0, r, sign = cos(x) / sin(x), abs(x - pi * nint(x / pi)), -1
+            else:
+                y0, r, sign = cosh(x) / sinh(x), abs(x), 1
+            s = max(r.exp + r.bc, -W)
+            series.append((s, _riccati_taylor(y0, sign, s, order_max, W)))
+    (sa, a), (sb, b) = series
+    values = []
+    with mp.workprec(p.bits):
+        for n in range(order_max + 1):
+            ea, eb = sa * (n + 1), sb * (n + 1)
+            e = max(ea, eb)
+            man = (a[n] << (e - ea)) + second_sign(n) * (b[n] << (e - eb))
+            values.append(mpf((factorial(n) * man, -e - W)))
+    return DerivativeTable(params, order_max, tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -210,28 +279,59 @@ def _orthogonal_norms(moments, N: int) -> list:
 
     Chebyshev algorithm (Gautschi, Orthogonal Polynomials: Computation and
     Approximation, 2004, section 2.1.7): row k holds the mixed moments
-    sigma_{k,l} = <pi_k, x^l> for k <= l <= 2N-2-k, and h_k = sigma_{k,k}.
+    sigma_{k,l} = <pi_k, x^l> for k <= l <= 2N-2-k, h_k = sigma_{k,k}, and
+
+        sigma_{k+1,l} = sigma_{k,l+1} - alpha_k sigma_{k,l} - beta_k sigma_{k-1,l}.
+
+    sigma_{k,l} is about moments[k+l] in size, so it is held as an integer
+    S times 2^E[k+l], the exponent fixed per anti-diagonal by the moments:
+    |S| is about 2^W for sigma_{0,l}, W = mp.prec (a zero moment takes the
+    exponent of the one before it).  sigma_{k,l+1} already sits on the
+    anti-diagonal of sigma_{k+1,l}; each of the other two terms is one
+    integer product with the mantissa of alpha_k or beta_k and one shift
+    toward zero.  Only alpha_k, beta_k and h_k, O(N) in all, are mpf values
+    at W bits.  Closed-form moments lose 211 of 1024 bits (Laguerre, N=100)
+    and 149 of 512 (Hermite, N=100) here; the Hankel moments of phi lose
+    about as much as the same pass in floating point.
     """
-    prev, cur = [0] * len(moments), list(moments)
+    W = mp.prec
+    moments = [mpf(m) for m in moments]
+    E = []
+    for m in moments:
+        E.append(m.exp + m.bc - W if m else E[-1] if E else 0)
+    cur = [_fixed(m, -e) for m, e in zip(moments, E)]
+    L = len(cur)
+    # exponent steps to anti-diagonal d from d-1 and from d-2
+    up1 = [0] + [E[d] - E[d - 1] for d in range(1, L)]
+    up2 = [0, 0] + [E[d] - E[d - 2] for d in range(2, L)]
+    prev = [0] * L
     norms, shift, last = [], 0, 1
     for k in range(N):
         if not cur[k]:
             raise PrecisionExhaustedError(
                 f"zero pivot at order {k + 1}; increase Precision.bits")
-        norms.append(cur[k])
+        h = mpf((cur[k], E[2 * k]))
+        norms.append(h)
         if k + 1 == N:
             break
-        ratio = cur[k + 1] / cur[k]
-        alpha, beta = ratio - shift, cur[k] / last
-        nxt = [0] * len(moments)
-        for l in range(k + 1, len(moments) - k - 1):
-            nxt[l] = cur[l + 1] - alpha * cur[l] - beta * prev[l]
-        prev, cur, shift, last = cur, nxt, ratio, cur[k]
+        ratio = mpf((cur[k + 1], E[2 * k + 1])) / h
+        alpha, beta = ratio - shift, h / last
+        # sigma_{k+1,l} for l = k+1..L-k-2 lies on anti-diagonals 2k+2..L-1
+        ma, ea = _mantissa(alpha, up1[2 * k + 2:])
+        mb, eb = _mantissa(beta, up2[2 * k + 2:])
+        nxt = [0] * L
+        nxt[k + 1:L - k - 1] = [
+            c1 - _shr(ma * c0, da - ea) - _shr(mb * p0, db - eb)
+            for c1, c0, p0, da, db in zip(cur[k + 2:L - k], cur[k + 1:],
+                                          prev[k + 1:], up1[2 * k + 2:],
+                                          up2[2 * k + 2:])]
+        prev, cur, shift, last = cur, nxt, ratio, h
     return norms
 
 
-# The first round of a long sequence runs on this many orders only; the
-# growth of its loss from order 8 to 16 predicts the w of the full round.
+# The first round of a sequence beyond 16 orders runs on 16 orders only,
+# of one beyond 8 orders on 8; the growth of its loss over its second half
+# predicts the w of the full round.
 _PREFIX = 16
 
 
@@ -269,10 +369,12 @@ def tau_sequence(params: PhaseParams, N_max: int,
     is returned when both agree to 2^(-bits-8) relative at every order.
 
     The loss grows about linearly with N.  Beyond N_max = 16 a first round
-    at w = bits + 64 on orders 1..16 measures the losses L_8 and L_16, and
-    the full round runs at w = bits + 24 + 1.3 L (at least bits + 64), with
-    L = L_16 + (L_16 - L_8)(N_max - 16)/8 the running loss extrapolated to
-    N_max.  A failed round is rerun at w = bits + 64 + L for the loss L it
+    at w = bits + 64 on orders 1..m, m = 16, measures the losses L_{m/2}
+    and L_m, and the full round runs at w = bits + 24 + 1.3 L (at least
+    bits + 64), with L = L_m + (L_m - L_{m/2})(N_max - m)/(m/2) the running
+    loss extrapolated to N_max; for 8 < N_max <= 16 the first round runs
+    on m = 8 orders (fe loses 62 bits by N = 16, more than bits + 64
+    leaves).  A failed round is rerun at w = bits + 64 + L for the loss L it
     measured, or with twice the added bits w - bits when its gap exceeds
     2^-32 (the w run then kept no correct bit, and L would measure w, not
     the loss); a third failed round raises PrecisionExhaustedError.
@@ -280,10 +382,12 @@ def tau_sequence(params: PhaseParams, N_max: int,
     if N_max < 1:
         raise ValueError("N must be >= 1")
     w = p.bits + 64
-    if N_max > _PREFIX:
-        _, gaps = _round(params, _PREFIX, w)
-        l8, l16 = _loss(w, gaps[7]), _loss(w, gaps[15])
-        predicted = l16 + (l16 - l8) * (N_max - _PREFIX) / 8
+    if N_max > _PREFIX // 2:
+        prefix = _PREFIX if N_max > _PREFIX else _PREFIX // 2
+        _, gaps = _round(params, prefix, w)
+        half = _loss(w, gaps[prefix // 2 - 1])
+        full = _loss(w, gaps[prefix - 1])
+        predicted = full + (full - half) * (N_max - prefix) / (prefix // 2)
         w = max(w, p.bits + 24 + int(1.3 * predicted))
     for _ in range(3):
         run, gaps = _round(params, N_max, w)

@@ -13,8 +13,9 @@ themselves stepped by q^2, and the trigonometric factors by a rotation
 through the angle 2z.  Both recurrences round once or twice per step, which
 the 32 guard bits absorb (see :func:`theta`).  The elliptic data of a
 gamma depends on nothing else, so :func:`elliptic_data_from_gamma` keeps it
-per (gamma, bits) for the life of the process, and :func:`jacobi_zeta` keeps
-K and the nome per (k, bits).  :func:`identity_checks` is the identity suite
+per (gamma, bits) for the life of the process, :func:`jacobi_zeta` keeps
+K and the nome per (k, bits), and :func:`jacobi_sn_cn_dn` keeps its Landen
+ladder per (k, bits).  :func:`identity_checks` is the identity suite
 that ``sixvertex check identities`` and the tests share.
 
 The nome convention throughout is q = exp(-pi*K'/K).  The dual nome under a
@@ -86,18 +87,12 @@ def elliptic_E(k, p: Precision):
     return rounded(out, p)
 
 
-def jacobi_sn_cn_dn(u, k, p: Precision):
-    """Jacobi elliptic functions on the real axis.
-
-    Descending Landen transformation (AGM backward recursion for the
-    amplitude), which stays well conditioned up to u = K.
-    """
-    _check_modulus(k)
+@lru_cache(maxsize=64)
+def _landen_ladder(k, p: Precision):
+    """The descending Landen ladder of modulus k > 0, memoized per
+    (k, bits): the AGM runs until c_n < 2^(-bits-16) and gives the ratios
+    c_i/a_i for i = n..1 and the scale 2^n a_n, at bits + 32."""
     with p.work():
-        u = mpf(u)
-        k = mpf(k)
-        if k == 0:
-            return rounded(sin(u), p), rounded(cos(u), p), rounded(mpf(1), p)
         a = [mpf(1)]
         c = [k]
         b = sqrt(1 - k ** 2)
@@ -108,9 +103,27 @@ def jacobi_sn_cn_dn(u, k, p: Precision):
             c.append((a_prev - b) / 2)
             b = sqrt(a_prev * b)
         n = len(a) - 1
-        phi = mpf(2) ** n * a[n] * u
-        for i in range(n, 0, -1):
-            phi = (phi + asin(c[i] / a[i] * sin(phi))) / 2
+        return tuple(c[i] / a[i] for i in range(n, 0, -1)), mpf(2) ** n * a[n]
+
+
+def jacobi_sn_cn_dn(u, k, p: Precision):
+    """Jacobi elliptic functions on the real axis.
+
+    Descending Landen transformation (AGM backward recursion for the
+    amplitude), which stays well conditioned up to u = K.  The ladder
+    depends on k alone (:func:`_landen_ladder`), so a quadrature over u
+    builds it once.
+    """
+    _check_modulus(k)
+    with p.work():
+        u = mpf(u)
+        k = mpf(k)
+        if k == 0:
+            return rounded(sin(u), p), rounded(cos(u), p), rounded(mpf(1), p)
+        ratios, scale = _landen_ladder(k, p)
+        phi = scale * u
+        for ratio in ratios:
+            phi = (phi + asin(ratio * sin(phi))) / 2
         sn = sin(phi)
         cn = cos(phi)
         dn = sqrt(1 - k ** 2 * sn ** 2)

@@ -237,6 +237,22 @@ class TestTau:
         tau_sequence(_params(phase, t, g), n_max, P)
         assert sizes == [16, 16, n_max, n_max]
 
+    @pytest.mark.parametrize("phase,t,g", [
+        ("fe", "1.5", "0.4"), ("af", "0.3", "1"), ("d", "0.3", "1")])
+    def test_eight_order_prefix_up_to_16(self, phase, t, g, monkeypatch):
+        # fe loses 62 bits by N=16, more than bits + 64 leaves: an 8-order
+        # first round predicts it, so one pair of 16-order passes certifies
+        sizes = []
+        norms = exactcore._orthogonal_norms
+
+        def counted(moments, N):
+            sizes.append(N)
+            return norms(moments, N)
+
+        monkeypatch.setattr(exactcore, "_orthogonal_norms", counted)
+        tau_sequence(_params(phase, t, g), 16, P)
+        assert sizes == [8, 8, 16, 16]
+
     def test_rows_certified_against_the_decimal_input(self):
         # log tau_N moves with t in proportion to N^2: rounding t to 256 bits
         # put the N=96 row 2^-245.5 off the decimal input
@@ -294,6 +310,52 @@ class TestTau:
                         Precision(256)).log_scaled
         with mp.workprec(300):
             assert abs(lo - hi) < mpf(2) ** (-64)
+
+
+class TestOrthogonalNorms:
+    # the Chebyshev pass against monic norms in closed form, N = 100; each
+    # bound is the loss of the floating-point pass it replaced plus 8 bits
+    N = 100
+
+    @classmethod
+    def laguerre(cls):
+        # weight exp(-x) on [0, oo): mu_n = n!, h_k = (k!)^2
+        return ([mp.factorial(n) for n in range(2 * cls.N - 1)],
+                [mp.factorial(k) ** 2 for k in range(cls.N)])
+
+    @classmethod
+    def hermite(cls):
+        # weight exp(-x^2) on R: mu_2j = Gamma(j + 1/2), odd moments 0,
+        # h_k = k! sqrt(pi) / 2^k
+        return ([mp.gamma(mpf(n + 1) / 2) if n % 2 == 0 else mpf(0)
+                 for n in range(2 * cls.N - 1)],
+                [mp.factorial(k) * sqrt(pi) / mpf(2) ** k for k in range(cls.N)])
+
+    def moments(self, family, W):
+        """The family's moments rounded to W bits and its exact norms."""
+        with mp.workprec(3 * W):
+            moments, exact = getattr(self, family)()
+        with mp.workprec(W):
+            return [+m for m in moments], exact
+
+    @pytest.mark.parametrize("family,W,bound", [
+        ("laguerre", 1024, 207 + 8), ("hermite", 512, 148 + 8)])
+    def test_closed_form_norms(self, family, W, bound):
+        moments, exact = self.moments(family, W)
+        with mp.workprec(W):
+            norms = exactcore._orthogonal_norms(moments, self.N)
+        assert len(norms) == self.N
+        with mp.workprec(3 * W):
+            worst = max(abs((h - e) / e) for h, e in zip(norms, exact))
+            assert W + log(worst, 2) <= bound
+
+    @pytest.mark.parametrize("family,W", [("laguerre", 1024), ("hermite", 512)])
+    def test_negated_moments_flip_every_norm(self, family, W):
+        moments, _ = self.moments(family, W)
+        with mp.workprec(W):
+            plus = exactcore._orthogonal_norms(moments, self.N)
+            minus = exactcore._orthogonal_norms([-m for m in moments], self.N)
+            assert all(m == -h for h, m in zip(plus, minus))
 
 
 class TestDiscreteSum:

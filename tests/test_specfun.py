@@ -220,6 +220,31 @@ def test_zeta_two_routes_agree():
             assert abs(d) < mpf(2) ** (-240)
 
 
+def test_zeta_from_E_builds_the_landen_ladder_once(monkeypatch):
+    # every quadrature node of the Zeta oracle shares one ladder per
+    # (k, bits), and the values match a ladder built afresh
+    original = specfun.jacobi_sn_cn_dn
+    calls = []
+
+    def counted(u, k, p):
+        calls.append(p.bits)
+        return original(u, k, p)
+
+    monkeypatch.setattr(specfun, "jacobi_sn_cn_dn", counted)
+    ladder = specfun._landen_ladder
+    ladder.cache_clear()
+    k = mpf("0.6")
+    for bits in (256, 512):
+        jacobi_zeta_from_E(mpf("0.7"), k, Precision(bits))
+    info = ladder.cache_info()
+    assert len(calls) > 100 and sorted(set(calls)) == [272, 528]
+    assert info.misses == 2 and info.hits == len(calls) - 2, info
+    u, pp = mpf("0.3"), Precision(272)
+    cached = original(u, k, pp)
+    ladder.cache_clear()
+    assert original(u, k, pp) == cached
+
+
 def test_elliptic_data_nome():
     with mp.workprec(300):
         data = elliptic_data_from_gamma(pi / 2, P)
