@@ -20,7 +20,8 @@ from mpmath import mp, mpf, cos, sin, exp, log, pi, sinh, cosh, tan
 from ..errors import CutoffTooSmallError, PhaseDomainError
 from ..exactcore import (PHASE_AF, PHASE_D, PHASE_FE, PhaseParams, c_factor,
                          weights_from)
-from ..precision import Precision, central_differences, rounded
+from ..precision import (Precision, bilinear_residual, central_differences,
+                         rounded)
 from ..specfun import elliptic_data_from_gamma, theta, theta1_prime_zero
 from .geometry import endpoints
 
@@ -190,7 +191,6 @@ def ode_check(params: PhaseParams, p: Precision = Precision(), n: int = 6,
             arg = (pi / 2) * (1 + tt / g) * N
             return c_factor(N) * exp(N * N * f_of_t(tt)) * theta(4, arg, q, pw)
 
-        a_mid, d1, d2 = _derivatives(lambda tt: big_a(n, tt), t0, h)
+        a_n = [big_a(n, t0 + i * h) for i in (-2, -1, 0, 1, 2)]
         rhs = big_a(n + 1, t0) * big_a(n - 1, t0)
-        resid = (a_mid * d2 - d1 ** 2 - rhs) / rhs
-        return rounded(abs(resid), p)
+        return rounded(bilinear_residual(a_n, h, rhs), p)

@@ -11,9 +11,12 @@ fit      theta-modulated ratios r_N and their spread (af), or the
          smooth-correction exponent report (d)
 
 Parameters are decimal strings parsed directly at the requested binary
-precision (no double round-trip).  Output is CSV (default) or JSON on stdout
-or --out; identical configurations produce byte-identical output.  Exit
-codes: 0 success / all checks pass, 1 computational failure, 2 invalid input.
+precision (no double round-trip).  Each command parses its input once and
+hands the parsed objects (PhaseParams, SaddleGeometry, mpf mu) to its rows,
+in process or pickled to the --jobs pool.  Output is CSV (default) or JSON
+on stdout or --out; identical configurations produce byte-identical output.
+Exit codes: 0 success / all checks pass, 1 computational failure, 2 invalid
+input.
 """
 
 from __future__ import annotations
@@ -24,14 +27,14 @@ import io
 import json
 import os
 import sys
+from functools import partial
 
 from mpmath import mp, mpf
 
 from . import asymptotics
 from .errors import SixVertexError, PhaseDomainError
-from .exactcore import (PHASES, laplace_moment_check, partition_Z,
-                        phase_params, tau_sequence, toda_residuals,
-                        weights_from, z_from_tau)
+from .exactcore import (PHASES, laplace_moment_check, phase_params,
+                        tau_sequence, toda_residuals, weights_from, z_from_tau)
 from .oracle import Z_bruteforce
 from .precision import Precision, rounded
 from .specfun import identity_checks
@@ -46,12 +49,6 @@ def _digits(bits):
 def _fmt(x, bits):
     with mp.workprec(bits + 32):
         return mp.nstr(mpf(x), _digits(bits))
-
-
-def _carry(x, bits):
-    """Serialize a value for a worker round-trip without digit loss."""
-    with mp.workprec(bits + 32):
-        return mp.nstr(mpf(x), _digits(bits) + 12)
 
 
 def parse_int_range(text):
@@ -102,13 +99,18 @@ def _emit(rows, header, args, meta=None):
         sys.stdout.write(text)
 
 
-def _params_from_args(args, p):
-    # phase_params parses the decimal strings to bits + 64 itself
-    t = args.t if args.t is not None else "0"
-    if getattr(args, "zeta", None) is not None:
+def _phase_point(phase, gamma, p, t=None, zeta=None):
+    """phase_params at t (default 0), or at t = zeta * gamma formed at
+    bits + 96; phase_params parses the decimal strings to bits + 64 itself."""
+    if zeta is not None:
         with mp.workprec(p.bits + 96):
-            t = mpf(args.zeta) * mpf(args.gamma)
-    return phase_params(args.phase, t, args.gamma, p)
+            t = mpf(zeta) * mpf(gamma)
+    return phase_params(phase, "0" if t is None else t, gamma, p)
+
+
+def _params_from_args(args, p):
+    return _phase_point(args.phase, args.gamma, p, args.t,
+                        getattr(args, "zeta", None))
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +118,8 @@ def _params_from_args(args, p):
 # ---------------------------------------------------------------------------
 
 
-def _bulk_row(job):
-    phase, t, gamma, bits = job
+def _bulk_row(prm, bits):
     p = Precision(bits)
-    prm = phase_params(phase, t, gamma, p)
     fe = asymptotics.bulk_f(prm, p)
     geom = asymptotics.endpoints(prm, p)
     ep = [geom.alpha, geom.alpha_prime, geom.beta_prime, geom.beta]
@@ -128,22 +128,13 @@ def _bulk_row(job):
             _fmt(fe.z_limit, bits), *eps)
 
 
-def _density_row(job):
-    phase, t, gamma, mu, bits = job
-    p = Precision(bits)
-    prm = phase_params(phase, t, gamma, p)
-    geom = asymptotics.endpoints(prm, p)
-    rho = asymptotics.rho_at(prm, geom, mu, p)
-    return (_fmt(mu, bits), _fmt(rho, bits))
-
-
-def _map_jobs(fn, jobs, n_workers):
-    if n_workers <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
+def _map_jobs(fn, items, n_workers):
+    if n_workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
     # imported here: it costs every other command start-up time
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=n_workers) as ex:
-        return list(ex.map(fn, jobs))
+        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +171,15 @@ def cmd_exact(args):
 
 def cmd_bulk(args):
     p = Precision(args.bits)
-    zetas = parse_grid(args.zeta if args.zeta is not None else args.t, args.bits)
-    with mp.workprec(args.bits + 32):
-        g = mpf(args.gamma)
-        if args.zeta is not None:
-            ts = [z * g for z in zetas]
-        else:
-            ts = zetas
-    jobs = [(args.phase, _carry(t, args.bits), _carry(g, args.bits), args.bits)
-            for t in ts]
-    for job in jobs:
-        phase_params(job[0], job[1], job[2], p)   # validate all up front
-    rows = _map_jobs(_bulk_row, jobs, args.jobs)
+    axis = "zeta" if args.zeta is not None else "t"
+    # every row is validated before any is computed
+    prms = [_phase_point(args.phase, args.gamma, p, **{axis: x})
+            for x in parse_grid(getattr(args, axis), args.bits)]
+    rows = _map_jobs(partial(_bulk_row, bits=args.bits), prms, args.jobs)
     header = ["zeta", "t", "f", "z_limit", "alpha", "alpha_prime",
               "beta_prime", "beta"]
-    meta = {"phase": args.phase, "gamma": _fmt(g, args.bits), "bits": args.bits,
+    meta = {"phase": args.phase, "gamma": _fmt(args.gamma, args.bits),
+            "bits": args.bits,
             "note": "f = lim log(tau_N/c_N)/N^2; z_limit = a*b*exp(f)"}
     _emit(rows, header, args, meta)
     return 0
@@ -210,11 +195,10 @@ def cmd_density(args):
         (lo, hi), sat, bound = asymptotics.support_and_saturation(prm, geom)
         lo, hi = rounded(lo, p), rounded(hi, p)
         step = (mpf(hi) - mpf(lo)) / args.grid
-        mus = [_carry(mpf(lo) + (i + mpf(1) / 2) * step, args.bits)
-               for i in range(args.grid)]
-    jobs = [(prm.phase, _carry(prm.t, args.bits), _carry(prm.gamma, args.bits),
-             mu, args.bits) for mu in mus]
-    rows = _map_jobs(_density_row, jobs, args.jobs)
+        mus = [mpf(lo) + (i + mpf(1) / 2) * step for i in range(args.grid)]
+    rhos = _map_jobs(partial(asymptotics.rho_at, prm, geom, p=p), mus, args.jobs)
+    rows = [(_fmt(mu, args.bits), _fmt(rho, args.bits))
+            for mu, rho in zip(mus, rhos)]
     header = ["mu", "rho"]
     meta = {
         "phase": prm.phase, "t": _fmt(prm.t, args.bits),
@@ -226,9 +210,8 @@ def cmd_density(args):
     }
     if args.format == "csv":
         # annotate saturation in-band for plot-ready CSV
-        rows = [(mu, rho,
-                 int(any(mpf(a) <= mpf(mu) <= mpf(b) for (a, b) in sat)))
-                for (mu, rho) in rows]
+        rows = [(*row, int(any(a <= mu <= b for (a, b) in sat)))
+                for mu, row in zip(mus, rows)]
         header = ["mu", "rho", "saturated"]
     _emit(rows, header, args, meta)
     return 0
@@ -290,15 +273,17 @@ def cmd_check(args):
         with p.work():
             points = [("fe", mpf("1.5"), mpf("0.4")), ("d", mpf("0.3"), mpf("1.0")),
                       ("af", mpf("0.3"), mpf("1.0"))]
-        for n in parse_int_range(args.n):
-            for phase, t, g in points:
-                prm = phase_params(phase, t, g, p)
-                w = weights_from(prm, p)
-                zbf = Z_bruteforce(n, w.a, w.b, w.c, p)   # rejects n first
-                zdet = partition_Z(prm, n, p)
+        ns = parse_int_range(args.n)
+        prms = [phase_params(phase, t, g, p) for phase, t, g in points]
+        phases = [(prm, weights_from(prm, p), _by_n(tau_sequence, prm, ns, p))
+                  for prm in prms]
+        for i, n in enumerate(ns):
+            for prm, w, seq in phases:
+                zbf = Z_bruteforce(n, w.a, w.b, w.c, p)   # rejects n > MAX_ENUM_N
+                zdet = z_from_tau(prm, seq[i], p)
                 with p.work():
                     rel = (zdet - zbf) / zbf
-                checks.append((f"oracle_{phase}_N{n}", rel, tol))
+                checks.append((f"oracle_{prm.phase}_N{n}", rel, tol))
     elif args.target == "identities":
         checks = identity_checks(p)
     elif args.target == "laplace":

@@ -42,7 +42,7 @@ from .errors import (
     PrecisionExhaustedError,
     QuadratureError,
 )
-from .precision import Precision, central_differences, rounded
+from .precision import Precision, bilinear_residual, rounded
 
 PHASE_FE = "fe"
 PHASE_D = "d"
@@ -518,19 +518,11 @@ def tau_discrete_sum(params: PhaseParams, N: int, cutoff: int,
 # ---------------------------------------------------------------------------
 
 
-def _scaled_toda_factor(N: int):
-    """c_{N+1} c_{N-1} / c_N^2 from the exact integer factorials (= N^2)."""
-    num = c_factor(N + 1) * c_factor(N - 1)
-    den = c_factor(N) ** 2
-    assert num % den == 0
-    return num // den
-
-
 def toda_residuals(params: PhaseParams, N_max: int, p: Precision) -> list:
     """Relative residuals of the bilinear identity for N = 1..N_max.
 
     With s_N = tau_N / c_N the identity at fixed gamma reads
-        s_N s_N'' - (s_N')^2 = d_N s_{N+1} s_{N-1},   d_N = c_{N+1}c_{N-1}/c_N^2,
+        s_N s_N'' - (s_N')^2 = N^2 s_{N+1} s_{N-1},   N^2 = c_{N+1}c_{N-1}/c_N^2,
     and s_0 = 1 by the tau_0 = 1 convention.  Derivatives in t use 5-point
     central differences at step h = 2^(-bits/5), balancing h^4 truncation
     against 2^(-bits)/h^2 roundoff; the achievable residual scale is
@@ -561,10 +553,9 @@ def toda_residuals(params: PhaseParams, N_max: int, p: Precision) -> list:
         centre = seqs[2]
         out = []
         for N in range(1, N_max + 1):
-            d1, d2 = central_differences([s[N] for s in seqs], h)
-            lhs = centre[N] * d2 - d1 ** 2
-            rhs = _scaled_toda_factor(N) * centre[N + 1] * centre[N - 1]
-            out.append(rounded(abs(lhs - rhs) / abs(rhs), p))
+            rhs = N * N * centre[N + 1] * centre[N - 1]
+            resid = bilinear_residual([s[N] for s in seqs], h, rhs)
+            out.append(rounded(resid, p))
     return out
 
 

@@ -4,8 +4,8 @@ Every public operation in this package takes an explicit :class:`Precision`
 instead of relying on the caller to have configured ``mpmath.mp``.  Internally
 computations run with a guard margin and results are rounded back to the
 requested width, so documented error bounds are of the form 2**(-bits+g) with
-a small g.  The 5-point central-difference stencil that the residual checks
-share lives here too.
+a small g.  The 5-point central-difference stencil and the bilinear-identity
+residual that the residual checks share live here too.
 """
 
 from __future__ import annotations
@@ -54,3 +54,10 @@ def central_differences(vals, h):
     d2 = (-vals[4] + 16 * vals[3] - 30 * vals[2] + 16 * vals[1] - vals[0]) \
         / (12 * h ** 2)
     return d1, d2
+
+
+def bilinear_residual(vals, h, rhs):
+    """|A A'' - A'^2 - rhs| / |rhs| at the centre of five samples of A
+    (the samples of :func:`central_differences`)."""
+    d1, d2 = central_differences(vals, h)
+    return abs(vals[2] * d2 - d1 ** 2 - rhs) / abs(rhs)

@@ -49,8 +49,8 @@ class EllipticData:
     q: object
 
 
-def _check_modulus(k, strict_upper=True):
-    if k < 0 or (k >= 1 if strict_upper else k > 1):
+def _check_modulus(k):
+    if k < 0 or k >= 1:
         raise DomainError(f"modulus k={k} outside [0, 1)")
 
 

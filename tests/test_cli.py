@@ -102,6 +102,39 @@ def test_jobs_match_serial(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+@pytest.mark.parametrize("point", [
+    ["--phase", "af", "--gamma", "1", "--zeta", "0.4", "--grid", "3"],
+    ["--phase", "d", "--gamma", "1", "--zeta", "0.3", "--grid", "5"],
+])
+def test_density_jobs_match_serial(tmp_path, point):
+    f1, f2 = tmp_path / "serial.csv", tmp_path / "par.csv"
+    assert main(["density", *point, "--out", str(f1)]) == 0
+    assert main(["density", *point, "--jobs", "2", "--out", str(f2)]) == 0
+    assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_rows_reuse_what_the_command_computed_once(monkeypatch, capsys):
+    # density rows share the command's endpoint geometry; check oracle takes
+    # every N of a phase from one tau sequence
+    import sys
+    from sixvertex import asymptotics, exactcore
+    calls = {"endpoints": 0, "tau_sequence": 0}
+    for name, original in (("endpoints", asymptotics.endpoints),
+                           ("tau_sequence", exactcore.tau_sequence)):
+        def counting(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("sixvertex") \
+                    and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    code, _, _ = run(["density", "--phase", "d", "--gamma", "1", "--zeta", "0.3",
+                      "--grid", "5"], capsys)
+    assert code == 0 and calls["endpoints"] == 1, calls
+    code, _, _ = run(["check", "oracle", "--n", "1..6"], capsys)
+    assert code == 0 and calls["tau_sequence"] == 3, calls
+
+
 def test_check_toda_passes(capsys):
     code, out, _ = run(["check", "toda", "--phase", "af", "--gamma", "1",
                         "--t", "0.2", "--n", "1..4", "--bits", "128"], capsys)

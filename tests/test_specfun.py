@@ -308,7 +308,7 @@ def test_bulk_grid_builds_elliptic_data_once(monkeypatch):
     per_row = []
     for t in ("-0.72", "-0.3", "0.05", "0.4", "0.81"):
         before = len(calls)
-        cli._bulk_row(("af", t, gamma, bits))
+        cli._bulk_row(phase_params("af", t, gamma, Precision(bits)), bits)
         per_row.append(len(calls) - before)
     assert all(n == 1 for n in per_row[1:]), per_row
     assert per_row[0] > per_row[1], per_row
