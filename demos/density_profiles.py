@@ -8,24 +8,29 @@ saturated at 1/(2 gamma).  Each profile integrates to 1.
 
 from mpmath import mp, mpf
 
-from sixvertex import (Precision, density, density_normalization, endpoints,
-                       phase_params)
+from sixvertex import (Precision, density_normalization, endpoints,
+                       phase_params, rho_at)
+from sixvertex.asymptotics import support_and_saturation
 
 
 def show(phase, t, g, grid, p):
     with mp.workprec(p.bits + 32):
         prm = phase_params(phase, mpf(t), mpf(g), p)
     geom = endpoints(prm, p)
-    prof = density(prm, geom, grid, p)
-    lo, hi = prof.support
+    with p.work():
+        (lo, hi), sat, bound = support_and_saturation(prm, geom)
+        step = (hi - lo) / grid
+        mus = [lo + (i + mpf(1) / 2) * step for i in range(grid)]
+    rhos = [rho_at(prm, geom, mu, p) for mu in mus]
     print(f"== {phase}: t={t}, gamma={g} ==")
-    print(f"  support [{mp.nstr(mpf(lo), 8)}, {mp.nstr(mpf(hi), 8)}]  "
-          f"bound = {prof.bound if prof.bound != mp.inf else 'none'}")
-    for a, b in prof.saturated_intervals:
-        print(f"  saturated interval [{mp.nstr(mpf(a), 8)}, {mp.nstr(mpf(b), 8)}]")
-    for mu, rho in prof.grid:
-        bar = "#" * int(40 * float(rho) / max(float(r) for _, r in prof.grid))
-        print(f"  mu={mp.nstr(mpf(mu), 8):12s} rho={mp.nstr(mpf(rho), 8):12s} {bar}")
+    print(f"  support [{mp.nstr(lo, 8)}, {mp.nstr(hi, 8)}]  "
+          f"bound = {bound if bound != mp.inf else 'none'}")
+    for a, b in sat:
+        print(f"  saturated interval [{mp.nstr(a, 8)}, {mp.nstr(b, 8)}]")
+    top = max(float(r) for r in rhos)
+    for mu, rho in zip(mus, rhos):
+        bar = "#" * int(40 * float(rho) / top)
+        print(f"  mu={mp.nstr(mu, 8):12s} rho={mp.nstr(rho, 8):12s} {bar}")
     norm = density_normalization(prm, geom, p)
     print(f"  integral of rho: {mp.nstr(norm, 12)}\n")
 

@@ -22,8 +22,8 @@ from .exactcore import (PhaseParams, Weights, DerivativeTable, TauValue,
 from .oracle import EnumResult, enumerate_dwbc, Z_bruteforce, asm_count
 from .asymptotics import (SaddleGeometry, endpoints, chemb_residual,
                           FreeEnergy, bulk_f, dfdzeta, f_small_gamma,
-                          F_modular, ode_check, DensityProfile, resolvent,
-                          density, density_normalization, subleading_AF_fit,
+                          F_modular, ode_check, resolvent,
+                          density_normalization, subleading_AF_fit,
                           smooth_fit_D)
 from .asymptotics.resolvent import rho_at, saddle_residual
 
@@ -43,8 +43,8 @@ __all__ = [
     "toda_residuals", "laplace_moment_check", "c_factor",
     "EnumResult", "enumerate_dwbc", "Z_bruteforce", "asm_count",
     "SaddleGeometry", "endpoints", "chemb_residual", "FreeEnergy", "bulk_f",
-    "dfdzeta", "f_small_gamma", "F_modular", "ode_check", "DensityProfile",
-    "resolvent", "density", "density_normalization", "rho_at",
+    "dfdzeta", "f_small_gamma", "F_modular", "ode_check", "resolvent",
+    "density_normalization", "rho_at",
     "saddle_residual", "subleading_AF_fit", "smooth_fit_D",
     "__version__",
 ]

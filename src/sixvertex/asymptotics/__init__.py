@@ -4,16 +4,15 @@ resolvents and densities, expansion cross-checks, subleading fits."""
 from .geometry import SaddleGeometry, endpoints, chemb_residual
 from .freenergy import (FreeEnergy, bulk_f, dfdzeta, f_small_gamma, F_modular,
                         ode_check)
-from .resolvent import (DensityProfile, resolvent, density,
-                        density_normalization, rho_at, saddle_residual,
-                        support_and_saturation)
+from .resolvent import (resolvent, density_normalization, rho_at,
+                        saddle_residual, support_and_saturation)
 from .fits import subleading_AF_fit, smooth_fit_D
 
 __all__ = [
     "SaddleGeometry", "endpoints", "chemb_residual",
     "FreeEnergy", "bulk_f", "dfdzeta", "f_small_gamma", "F_modular",
     "ode_check",
-    "DensityProfile", "resolvent", "density", "density_normalization",
+    "resolvent", "density_normalization",
     "rho_at", "saddle_residual", "support_and_saturation",
     "subleading_AF_fit", "smooth_fit_D",
 ]

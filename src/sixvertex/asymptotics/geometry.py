@@ -92,10 +92,11 @@ def chemb_residual(params: PhaseParams, geom: SaddleGeometry,
 
         beta' - (beta - beta') * sn/(cn*dn) * Z(u_inf).
 
-    The Zeta value here comes from the incomplete-second-integral route
-    (:func:`~sixvertex.specfun.jacobi_zeta_from_E`), independent of the
-    theta-series route that built the geometry, so a small residual really
-    does certify mutual consistency of the endpoint equations.
+    The Zeta value here comes from the Landen route
+    (:func:`~sixvertex.specfun.jacobi_zeta_from_E`, sum c_n sin phi_n over
+    the descending amplitudes), independent of the theta-series route that
+    built the geometry, so a small residual really does certify mutual
+    consistency of the endpoint equations.
     """
     if geom.phase != PHASE_AF:
         raise PhaseDomainError("chemical-potential residual applies to af only")

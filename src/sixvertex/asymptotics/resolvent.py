@@ -10,8 +10,6 @@ of w(x) / sqrt|P(x)| between roots of P, all computed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from mpmath import (mp, mpf, mpc, sqrt, log, pi, quad, conj, re, im, atan,
                     sin, fprod)
 
@@ -19,20 +17,6 @@ from ..errors import DomainError, QuadratureError
 from ..exactcore import PHASE_AF, PHASE_D, PHASE_FE, PhaseParams
 from ..precision import Precision, rounded
 from .geometry import SaddleGeometry
-
-
-@dataclass(frozen=True)
-class DensityProfile:
-    """Sampled limiting density with its saturation data.
-
-    bound is 1 in the rescaled fe variables, 1/(2*gamma) in af, and +inf in
-    d (smooth measure, no discreteness constraint).
-    """
-
-    grid: tuple                 # ((mu, rho), ...)
-    saturated_intervals: tuple  # ((lo, hi), ...)
-    bound: object
-    support: tuple              # (lo, hi)
 
 
 def _fe_omega(params, geom, z):
@@ -165,8 +149,9 @@ def rho_at(params: PhaseParams, geom: SaddleGeometry, mu,
 def support_and_saturation(params: PhaseParams, geom: SaddleGeometry):
     """((lo, hi), saturated intervals, bound) of the limiting density.
 
-    Evaluate in a working-precision context; see :class:`DensityProfile`
-    for the bound.
+    bound is 1 in the rescaled fe variables, 1/(2*gamma) in af, and +inf in
+    d (smooth measure, no discreteness constraint).  Evaluate in a
+    working-precision context.
     """
     if params.phase == PHASE_FE:
         lo_s, hi = sorted((mpf(geom.alpha), mpf(geom.beta)))
@@ -176,22 +161,6 @@ def support_and_saturation(params: PhaseParams, geom: SaddleGeometry):
     return ((mpf(geom.alpha), mpf(geom.beta)),
             ((mpf(geom.alpha_prime), mpf(geom.beta_prime)),),
             1 / (2 * mpf(params.gamma)))
-
-
-def density(params: PhaseParams, geom: SaddleGeometry, grid_size: int,
-            p: Precision = Precision()) -> DensityProfile:
-    """Sample rho on a uniform interior grid and mark saturated intervals."""
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
-    with p.work():
-        (lo, hi), sat, bound = support_and_saturation(params, geom)
-        step = (hi - lo) / grid_size
-        grid = []
-        for i in range(grid_size):
-            mu = lo + (i + mpf(1) / 2) * step
-            grid.append((rounded(mu, p), rho_at(params, geom, mu, p)))
-    return DensityProfile(tuple(grid), tuple(sat), bound, (rounded(lo, p),
-                                                           rounded(hi, p)))
 
 
 def density_normalization(params: PhaseParams, geom: SaddleGeometry,

@@ -63,22 +63,33 @@ def parse_int_range(text):
 
 
 def parse_grid(text, bits):
-    """'0.3' -> [0.3];  'a..b..step' -> inclusive decimal grid."""
-    with mp.workprec(bits + 32):
-        parts = text.split("..")
-        if len(parts) == 1:
-            return [mpf(parts[0])]
-        if len(parts) != 3:
-            raise ValueError(f"grid must be 'value' or 'start..stop..step', got {text!r}")
-        start, stop, step = (mpf(s) for s in parts)
-        if step <= 0:
-            raise ValueError("grid step must be positive")
-        out = []
-        x = start
-        while x <= stop + step / 2:
-            out.append(x)
-            x += step
-        return out
+    """'0.3' -> ['0.3'];  'a..b..step' -> inclusive decimal grid.
+
+    Each point start + i*step is formed exactly in decimal and passed on as
+    a decimal string, so a grid point parses as the same value given alone
+    (the grid -0.9..0.9..0.1 holds '0.0').  The commands parse the strings
+    at their own precision, so bits is unused.
+    """
+    parts = text.split("..")
+    if len(parts) == 1:
+        return [parts[0]]
+    if len(parts) != 3:
+        raise ValueError(f"grid must be 'value' or 'start..stop..step', got {text!r}")
+    import decimal   # here: it costs every other command start-up time
+    try:
+        with decimal.localcontext() as ctx:
+            ctx.prec = 4 * len(text) + 40
+            ctx.traps[decimal.Inexact] = True
+            start, stop, step = (decimal.Decimal(s) for s in parts)
+            if step <= 0:
+                raise ValueError("grid step must be positive")
+            out, x = [], start
+            while 2 * (x - stop) <= step:
+                out.append(str(x))
+                x = start + len(out) * step
+            return out
+    except decimal.DecimalException as exc:
+        raise ValueError(f"malformed grid {text!r}") from exc
 
 
 def _emit(rows, header, args, meta=None):

@@ -1,22 +1,24 @@
 """Arbitrary-precision elliptic kernel.
 
-Complete elliptic integrals by arithmetic-geometric mean, Jacobi sn/cn/dn by
-descending Landen transformation, Jacobi theta functions (with first
-z-derivatives) by truncated q-series, and Jacobi's Zeta function as the
-logarithmic derivative of theta_4.  All routines take an explicit
-:class:`~sixvertex.precision.Precision`; there is no module-level precision
-state.
+One memoized arithmetic-geometric mean per (k, bits), :func:`_agm`, gives
+the complete elliptic integrals K and E and the descending Landen pass
+:func:`_landen`, which yields Jacobi sn/cn/dn and, from the same
+amplitudes, Jacobi's Zeta as sum c_n sin phi_n.  Jacobi theta functions
+(with first z-derivatives) come from truncated q-series, and the production
+Zeta, :func:`jacobi_zeta`, is the logarithmic derivative of theta_4; the
+Landen Zeta, :func:`jacobi_zeta_from_E`, is its independent oracle.  All
+routines take an explicit :class:`~sixvertex.precision.Precision`; there is
+no module-level precision state.
 
 The theta series costs a few multiplications per term and no transcendental
 function after its start: the q-powers are stepped by ratios that are
 themselves stepped by q^2, and the trigonometric factors by a rotation
 through the angle 2z.  Both recurrences round once or twice per step, which
-the 32 guard bits absorb (see :func:`theta`).  The elliptic data of a
-gamma depends on nothing else, so :func:`elliptic_data_from_gamma` keeps it
-per (gamma, bits) for the life of the process, :func:`jacobi_zeta` keeps
-K and the nome per (k, bits), and :func:`jacobi_sn_cn_dn` keeps its Landen
-ladder per (k, bits).  :func:`identity_checks` is the identity suite
-that ``sixvertex check identities`` and the tests share.
+the 32 guard bits absorb (see :func:`theta`).  Three memos live here, each
+for the life of the process: :func:`_agm` per (k, bits), the elliptic data
+of a gamma per (gamma, bits) behind :func:`elliptic_data_from_gamma`, and
+:func:`theta1_prime_zero` per (q, bits).  :func:`identity_checks` is the
+identity suite that ``sixvertex check identities`` and the tests share.
 
 The nome convention throughout is q = exp(-pi*K'/K).  The dual nome under a
 modular transformation, exp(-2*gamma) when q = exp(-pi^2/(2*gamma)), shows up
@@ -30,7 +32,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from mpmath import mpf, sqrt, sin, cos, cos_sin, asin, exp, pi, quad
+from mpmath import mpf, sqrt, sin, cos, cos_sin, asin, exp, pi
 
 from .errors import DomainError
 from .precision import Precision, rounded
@@ -54,47 +56,13 @@ def _check_modulus(k):
         raise DomainError(f"modulus k={k} outside [0, 1)")
 
 
-def elliptic_K(k, p: Precision):
-    """Complete elliptic integral of the first kind, by AGM iteration."""
-    _check_modulus(k)
-    with p.work():
-        a, b = mpf(1), sqrt(1 - mpf(k) ** 2)
-        tol = mpf(2) ** (-(p.bits + GUARD_HALF))
-        while abs(a - b) > tol:
-            a, b = (a + b) / 2, sqrt(a * b)
-        out = pi / (2 * a)
-    return rounded(out, p)
-
-
-def elliptic_E(k, p: Precision):
-    """Complete elliptic integral of the second kind.
-
-    AGM with the classical deficit series E = K * (1 - sum 2**(n-1) c_n**2),
-    c_0 = k.  Needed for the Legendre relation and for the quadrature-free
-    consistency route to Jacobi's Zeta.
-    """
-    _check_modulus(k)
-    with p.work():
-        a, b, c = mpf(1), sqrt(1 - mpf(k) ** 2), mpf(k)
-        deficit = c ** 2 / 2
-        tol = mpf(2) ** (-(p.bits + GUARD_HALF))
-        n = 0
-        while abs(c) > tol:
-            a, b, c = (a + b) / 2, sqrt(a * b), (a - b) / 2
-            n += 1
-            deficit += mpf(2) ** (n - 1) * c ** 2
-        out = (pi / (2 * a)) * (1 - deficit)
-    return rounded(out, p)
-
-
 @lru_cache(maxsize=64)
-def _landen_ladder(k, p: Precision):
-    """The descending Landen ladder of modulus k > 0, memoized per
-    (k, bits): the AGM runs until c_n < 2^(-bits-16) and gives the ratios
-    c_i/a_i for i = n..1 and the scale 2^n a_n, at bits + 32."""
+def _agm(k, p: Precision):
+    """The AGM of 1 and k' = sqrt(1 - k^2), memoized per (k, bits): the
+    sequences a_0..a_N and c_0..c_N (c_0 = k, c_n = (a_(n-1) - b_(n-1))/2)
+    at bits + 32, run until c_N < 2^(-bits-16).  The only AGM loop here."""
     with p.work():
-        a = [mpf(1)]
-        c = [k]
+        a, c = [mpf(1)], [k]
         b = sqrt(1 - k ** 2)
         tol = mpf(2) ** (-(p.bits + GUARD_HALF))
         while abs(c[-1]) > tol:
@@ -102,32 +70,65 @@ def _landen_ladder(k, p: Precision):
             a.append((a_prev + b) / 2)
             c.append((a_prev - b) / 2)
             b = sqrt(a_prev * b)
+        return tuple(a), tuple(c)
+
+
+def elliptic_K(k, p: Precision):
+    """Complete elliptic integral of the first kind, K = pi/(2 a_N)."""
+    _check_modulus(k)
+    with p.work():
+        a, _ = _agm(mpf(k), p)
+        out = pi / (2 * a[-1])
+    return rounded(out, p)
+
+
+def elliptic_E(k, p: Precision):
+    """Complete elliptic integral of the second kind.
+
+    The deficit series of the same AGM as K: E = K * (1 - sum 2**(n-1)
+    c_n**2), c_0 = k.  Needed for the Legendre relation.
+    """
+    _check_modulus(k)
+    with p.work():
+        a, c = _agm(mpf(k), p)
+        deficit = c[0] ** 2 / 2
+        for n in range(1, len(c)):
+            deficit += mpf(2) ** (n - 1) * c[n] ** 2
+        out = (pi / (2 * a[-1])) * (1 - deficit)
+    return rounded(out, p)
+
+
+def _landen(u, k, p: Precision):
+    """sn, cn, dn and Jacobi's Zeta at (u, k) from one descending Landen
+    pass over :func:`_agm` (Abramowitz-Stegun 16.4, 17.6), at bits + 32.
+
+    The amplitude starts at phi_N = 2^N a_N u and descends by
+    phi_(n-1) = (phi_n + asin((c_n/a_n) sin phi_n))/2 to phi_0 = am(u);
+    Z(u) = sum_(n=1..N) c_n sin phi_n takes the sines the pass makes anyway.
+    """
+    with p.work():
+        k = mpf(k)
+        a, c = _agm(k, p)
         n = len(a) - 1
-        return tuple(c[i] / a[i] for i in range(n, 0, -1)), mpf(2) ** n * a[n]
+        phi = mpf(2) ** n * a[n] * mpf(u)
+        Z = mpf(0)
+        for i in range(n, 0, -1):
+            s = sin(phi)
+            Z += c[i] * s
+            phi = (phi + asin(c[i] / a[i] * s)) / 2
+        sn = sin(phi)
+        return sn, cos(phi), sqrt(1 - k ** 2 * sn ** 2), Z
 
 
 def jacobi_sn_cn_dn(u, k, p: Precision):
     """Jacobi elliptic functions on the real axis.
 
     Descending Landen transformation (AGM backward recursion for the
-    amplitude), which stays well conditioned up to u = K.  The ladder
-    depends on k alone (:func:`_landen_ladder`), so a quadrature over u
-    builds it once.
+    amplitude), which stays well conditioned up to u = K.  The AGM depends
+    on k alone (:func:`_agm`), so many u at one k run it once.
     """
     _check_modulus(k)
-    with p.work():
-        u = mpf(u)
-        k = mpf(k)
-        if k == 0:
-            return rounded(sin(u), p), rounded(cos(u), p), rounded(mpf(1), p)
-        ratios, scale = _landen_ladder(k, p)
-        phi = scale * u
-        for ratio in ratios:
-            phi = (phi + asin(ratio * sin(phi))) / 2
-        sn = sin(phi)
-        cn = cos(phi)
-        dn = sqrt(1 - k ** 2 * sn ** 2)
-    return rounded(sn, p), rounded(cn, p), rounded(dn, p)
+    return tuple(rounded(x, p) for x in _landen(u, k, p)[:3])
 
 
 def _theta_pair(j, z, q, tol):
@@ -196,27 +197,20 @@ def theta(j, z, q, p: Precision, derivative=0):
     return rounded(out, p)
 
 
-@lru_cache(maxsize=64)
-def _quarter_period_and_nome(k, p: Precision):
-    """K(k) and the nome exp(-pi*K'/K), memoized per (k, bits)."""
-    with p.work():
-        K = elliptic_K(k, Precision(p.bits + GUARD_HALF))
-        Kp = elliptic_K(sqrt(1 - mpf(k) ** 2), Precision(p.bits + GUARD_HALF))
-        return K, exp(-pi * Kp / K)
-
-
 def jacobi_zeta(u, k, p: Precision):
     """Jacobi Zeta Z(u, k) = d/du log theta_4(pi*u/(2K), q).
 
     The theta series is differentiated term by term, so no finite
     differences enter; theta_4 and its derivative come from one pass.  K
-    and the nome are memoized per (k, bits).
+    and K' come from the AGM memo at bits + 16, the nome from one exp.
     """
     _check_modulus(k)
     with p.work():
         if k == 0:
             return rounded(mpf(0), p)
-        K, q = _quarter_period_and_nome(k, p)
+        pp = Precision(p.bits + GUARD_HALF)
+        K = elliptic_K(k, pp)
+        q = exp(-pi * elliptic_K(sqrt(1 - mpf(k) ** 2), pp) / K)
         v = pi * mpf(u) / (2 * K)
         # each rounded as theta() rounds it, so Z keeps its last bit
         th, dth = (rounded(x, p) for x in _theta_pair(4, v, q, p.tail_tol()))
@@ -225,21 +219,15 @@ def jacobi_zeta(u, k, p: Precision):
 
 
 def jacobi_zeta_from_E(u, k, p: Precision):
-    """Independent route to Z(u, k): E(u) - u*E/K with E(u) = int_0^u dn^2.
+    """Independent route to Z(u, k): the AGM form sum c_n sin phi_n over the
+    descending Landen amplitudes (Abramowitz-Stegun 17.6), from the same
+    pass as :func:`jacobi_sn_cn_dn`.  It equals E(am u, k) - u*E/K.
 
-    Used as a cross-check oracle against :func:`jacobi_zeta`; the incomplete
-    integral is done by quadrature, so this is slower but shares no code with
-    the theta-series route.
+    Used as a cross-check oracle against :func:`jacobi_zeta`: it shares the
+    AGM with K but no theta series, nome or quadrature.
     """
     _check_modulus(k)
-    with p.work():
-        u = mpf(u)
-        K = elliptic_K(k, Precision(p.bits + GUARD_HALF))
-        E = elliptic_E(k, Precision(p.bits + GUARD_HALF))
-        pp = Precision(p.bits + GUARD_HALF)
-        Eu = quad(lambda w: jacobi_sn_cn_dn(w, k, pp)[2] ** 2, [0, u])
-        out = Eu - u * E / K
-    return rounded(out, p)
+    return rounded(_landen(u, k, p)[3], p)
 
 
 def elliptic_data_from_gamma(gamma, p: Precision):

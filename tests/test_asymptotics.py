@@ -17,11 +17,12 @@ import pytest
 from mpmath import mp, mpf, mpc, sqrt, sinh, cosh, tanh, exp, log, pi, cos
 
 from sixvertex import (DegenerateGeometryError, DomainError, Precision,
-                       F_modular, bulk_f, chemb_residual, density,
+                       F_modular, bulk_f, chemb_residual,
                        density_normalization, dfdzeta, endpoints,
                        f_small_gamma, ode_check, phase_params, resolvent,
                        rho_at, saddle_residual, subleading_AF_fit,
                        smooth_fit_D, tau_sequence, weights_from)
+from sixvertex.asymptotics import support_and_saturation
 from sixvertex.asymptotics.resolvent import _cut_integral
 
 P = Precision(256)
@@ -371,6 +372,16 @@ class TestResolvent:
             saddle_residual(prm, geom, mpf("0.5"), P)    # saturated part
 
 
+def _profile(prm, geom, n, p):
+    """rho at the n midpoints of the support, as the density command samples
+    it, with the saturated intervals and the bound."""
+    with p.work():
+        (lo, hi), sat, bound = support_and_saturation(prm, geom)
+        step = (hi - lo) / n
+        mus = [lo + (i + mpf(1) / 2) * step for i in range(n)]
+    return [(mu, rho_at(prm, geom, mu, p)) for mu in mus], sat, bound
+
+
 class TestDensity:
     def test_fe_plateau_and_norm(self):
         # saturation boundary is tanh(t_e/2) = tanh(0.55) ~ 0.5005
@@ -384,9 +395,9 @@ class TestDensity:
         prm = _params("d", "0.3", "1.0", P96)
         geom = endpoints(prm, P96)
         assert abs(density_normalization(prm, geom, P96) - 1) < mpf("1e-8")
-        prof = density(prm, geom, 24, P96)
-        assert all(r >= 0 for _, r in prof.grid)
-        assert prof.bound == mp.inf
+        grid, _, bound = _profile(prm, geom, 24, P96)
+        assert all(r >= 0 for _, r in grid)
+        assert bound == mp.inf
 
     def test_af_plateau_value(self):
         prm = _params("af", "0.3", "1.0", Precision(72))
@@ -404,13 +415,13 @@ class TestDensity:
     def test_af_profile_marks_saturation_and_bound(self):
         prm = _params("af", "0.3", "1.0", Precision(72))
         geom = endpoints(prm, Precision(72))
-        prof = density(prm, geom, 13, Precision(72))
+        grid, sat, bound = _profile(prm, geom, 13, Precision(72))
         with mp.workprec(104):
-            (a, b), = prof.saturated_intervals
+            (a, b), = sat
             assert abs(mpf(a) - mpf(geom.alpha_prime)) < mpf("1e-18")
             assert abs(mpf(b) - mpf(geom.beta_prime)) < mpf("1e-18")
-            bound = mpf(prof.bound)
-            for mu, r in prof.grid:
+            bound = mpf(bound)
+            for mu, r in grid:
                 assert mpf(r) <= bound + mpf("1e-6")
                 if mpf(a) < mpf(mu) < mpf(b):
                     assert abs(mpf(r) - bound) < mpf("1e-6")

@@ -197,6 +197,29 @@ def test_bulk_grid_rows(capsys):
     assert len(out.strip().splitlines()) == 20
 
 
+def test_grid_points_match_values_given_alone(capsys):
+    # start + i*step in decimal: the middle point is 0, not a rounding
+    # residue, and every grid row is the row of its value given alone
+    code, out, _ = run(["bulk", "--phase", "d", "--gamma", "1", "--zeta",
+                        "-0.9..0.9..0.1", "--bits", "96"], capsys)
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert rows[9].startswith("0.0,0.0,")
+    for i in (0, 9, 12, 18):
+        zeta = f"{(i - 9) / 10:.1f}"
+        code, alone, _ = run(["bulk", "--phase", "d", "--gamma", "1",
+                              "--zeta", zeta, "--bits", "96"], capsys)
+        assert code == 0 and alone.strip().splitlines()[1] == rows[i], zeta
+
+
+@pytest.mark.parametrize("grid", ["0.1..0.x..0.1", "nan..1..0.1",
+                                  "0.1..0.3..0", "1..2"])
+def test_malformed_grid_exits_2(grid, capsys):
+    code, out, err = run(["bulk", "--phase", "d", "--gamma", "1", "--zeta",
+                          grid, "--bits", "96"], capsys)
+    assert code == 2 and out == "" and "invalid input" in err
+
+
 def test_density_symmetric_profile(capsys):
     code, out, _ = run(["density", "--phase", "d", "--gamma", "1.0",
                         "--zeta", "0", "--grid", "8", "--bits", "96"], capsys)

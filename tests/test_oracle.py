@@ -1,12 +1,15 @@
-"""Enumeration oracle: counts, censuses, and agreement with the determinant."""
+"""Enumeration oracle: counts, censuses, and agreement with the determinant;
+closed forms on the free-fermion line and at the ice point for large N."""
 
 import random
+from math import factorial
 
 import pytest
-from mpmath import mp, mpf, sqrt
+from mpmath import mp, mpf, sqrt, pi
 
 from sixvertex import (Precision, Z_bruteforce, asm_count, enumerate_dwbc,
-                       partition_Z, phase_params, weights_from)
+                       partition_Z, phase_params, tau_sequence, weights_from)
+from sixvertex.exactcore import z_from_tau
 from sixvertex.oracle import _CHOICES, MAX_ENUM_N
 
 P = Precision(256)
@@ -133,3 +136,46 @@ def test_determinant_equals_enumeration_beyond_six():
             zbf = Z_bruteforce(n, w.a, w.b, w.c, P)
             with mp.workprec(300):
                 assert abs((zdet - zbf) / zbf) < tol
+
+
+def _asm_product(n_max):
+    """A_1..A_n_max of the product formula prod_{k<N} (3k+1)!/(N+k)!, by its
+    ratio A_(N+1)/A_N = N! (3N+1)! / ((2N)! (2N+1)!) in exact integers."""
+    out = [1]
+    for n in range(1, n_max):
+        out.append(out[-1] * factorial(n) * factorial(3 * n + 1)
+                   // (factorial(2 * n) * factorial(2 * n + 1)))
+    return out
+
+
+def test_asm_product_matches_enumeration():
+    assert _asm_product(MAX_ENUM_N) == [asm_count(n) for n in ASM] \
+        == list(ASM.values())
+
+
+def _d_sequence(t, gamma, n_max):
+    """Z_1..Z_n_max in d at (t, gamma), gamma an mpf at bits + 96."""
+    prm = phase_params("d", t, gamma, P)
+    return [z_from_tau(prm, tv, P) for tv in tau_sequence(prm, n_max, P)]
+
+
+@pytest.mark.parametrize("t", ["0", "0.3", "-0.5"])
+def test_free_fermion_line_to_n200(t):
+    # gamma = pi/4: c = 1 and a^2 + b^2 = 1, so Z_N = 1 at every N and t
+    with mp.workprec(P.bits + 96):
+        gamma = pi / 4
+    zs = _d_sequence(t, gamma, 200)
+    with mp.workprec(P.bits + 64):
+        worst = max(abs(z - 1) for z in zs)
+        assert worst <= mpf(2) ** (-P.bits + 8), mp.nstr(worst, 5)
+
+
+def test_ice_point_to_n200():
+    # t = 0, gamma = pi/3: Z_N = (sqrt3/2)^(N^2) A_N (Kuperberg, Zeilberger)
+    with mp.workprec(P.bits + 96):
+        gamma = pi / 3
+    zs = _d_sequence("0", gamma, 200)
+    with mp.workprec(P.bits + 64):
+        for n, (z, asm) in enumerate(zip(zs, _asm_product(200)), start=1):
+            expected = (sqrt(3) / 2) ** (n * n) * asm
+            assert abs(z / expected - 1) <= mpf(2) ** (-P.bits + 8), n

@@ -220,29 +220,44 @@ def test_zeta_two_routes_agree():
             assert abs(d) < mpf(2) ** (-240)
 
 
-def test_zeta_from_E_builds_the_landen_ladder_once(monkeypatch):
-    # every quadrature node of the Zeta oracle shares one ladder per
-    # (k, bits), and the values match a ladder built afresh
-    original = specfun.jacobi_sn_cn_dn
-    calls = []
+@pytest.mark.parametrize("ks", ["0.1", "0.5", "0.9", "0.999", "0.999999"])
+def test_landen_zeta_against_incomplete_E(ks):
+    # Z(u) = E(am u, k) - u*E/K by mpmath's incomplete E at 4x the bits
+    bits = 512
+    p = Precision(bits)
+    for us in ("0.01", "0.3", "0.5", "0.77", "0.99"):
+        with mp.workprec(4 * bits):
+            k = mpf(ks)
+            m = k * k
+            K = mpmath.ellipk(m)
+            u = mpf(us) * K
+            am = mpmath.asin(mpmath.ellipfun("sn", u, m=m))
+            ref = mpmath.ellipe(am, m) - u * mpmath.ellipe(m) / K
+        z = jacobi_zeta_from_E(u, k, p)
+        with mp.workprec(4 * bits):
+            assert abs(z - ref) <= mpf(2) ** (-bits + 8) * max(1, abs(ref)), us
 
-    def counted(u, k, p):
-        calls.append(p.bits)
-        return original(u, k, p)
 
-    monkeypatch.setattr(specfun, "jacobi_sn_cn_dn", counted)
-    ladder = specfun._landen_ladder
-    ladder.cache_clear()
-    k = mpf("0.6")
-    for bits in (256, 512):
-        jacobi_zeta_from_E(mpf("0.7"), k, Precision(bits))
-    info = ladder.cache_info()
-    assert len(calls) > 100 and sorted(set(calls)) == [272, 528]
-    assert info.misses == 2 and info.hits == len(calls) - 2, info
-    u, pp = mpf("0.3"), Precision(272)
-    cached = original(u, k, pp)
-    ladder.cache_clear()
-    assert original(u, k, pp) == cached
+def test_one_agm_per_modulus():
+    # K, E, sn/cn/dn and the Landen Zeta at one (k, bits) share one AGM
+    # build; the theta route adds K and K' at bits + 16, built once each
+    agm = specfun._agm
+    agm.cache_clear()
+    k, u, p = mpf("0.6"), mpf("0.7"), Precision(256)
+
+    def landen_routes():
+        return (elliptic_K(k, p), elliptic_E(k, p), jacobi_sn_cn_dn(u, k, p),
+                jacobi_zeta_from_E(u, k, p))
+
+    for _ in range(3):
+        cached = landen_routes()
+    assert agm.cache_info().misses == 1
+    for _ in range(3):
+        jacobi_zeta(u, k, p)
+    assert agm.cache_info().misses == 3
+    agm.cache_clear()
+    assert landen_routes() == cached
+    assert agm.cache_info().misses == 1
 
 
 def test_elliptic_data_nome():
