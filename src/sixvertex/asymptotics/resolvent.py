@@ -2,16 +2,18 @@
 
 fe and d have closed forms for both.  The af resolvent omega(z) =
 int_z^inf dx / sqrt P(x), P = (x-alpha)(x-alpha')(x-beta')(x-beta), is
-integrated along a ray off the axis.  On the axis the af density, the saddle
-equation's boundary value of omega and the normalization are real integrals
-of w(x) / sqrt|P(x)| between roots of P, all computed by
-:func:`_cut_integral`: no offset from the axis, extrapolation or contour.
+integrated along a ray off the axis.  On the axis the af density is a band
+integral of 1/sqrt|P| from a root of P, an incomplete elliptic integral of
+the first kind evaluated in closed form by :func:`_band_integral`.  The
+saddle equation's boundary value of omega and the normalization are real
+integrals of w(x) / sqrt|P(x)| between roots of P, computed by the
+quadrature :func:`_cut_integral`, which is also the density's test oracle.
 """
 
 from __future__ import annotations
 
 from mpmath import (mp, mpf, mpc, sqrt, log, pi, quad, conj, re, im, atan,
-                    sin, fprod)
+                    sin, fprod, elliprf)
 
 from ..errors import DomainError, QuadratureError
 from ..exactcore import PHASE_AF, PHASE_D, PHASE_FE, PhaseParams
@@ -63,7 +65,9 @@ def _cut_integral(roots, lo, hi, p: Precision, w=lambda x: 1):
     end absorbed by x = a + (b-a) sin^2(t) between adjacent roots a, b, by
     x = r + (mu-r) v^2 from a root r to a point mu of its band, and by
     x = beta + u^2 from the largest root to +inf.  Raises QuadratureError if
-    mpmath's error estimate exceeds 2^(-bits+8) of the value."""
+    mpmath's error estimate exceeds 2^(-bits+8) of the value.  Serves the
+    weighted integrals of the normalization and the saddle equation; for
+    w = 1 on a band it is the test oracle of :func:`_band_integral`."""
     others = [r for r in roots if r != lo and r != hi]
 
     def smooth(x):   # the factors of P that no substitution absorbed
@@ -116,22 +120,35 @@ def _rho_d(params, geom, mu, p):
                               - log(abs(mu) * (be - al)) / 2))
 
 
+def _band_integral(roots, r0, y):
+    """int dx / sqrt|P(x)| from the root r0 to y, no root strictly between.
+
+    This is g F(phi, m) (Byrd-Friedman 251.00-257.00), with
+    g = 2 / sqrt((beta - alpha')(beta' - alpha)) and the cross-ratio
+    m = (beta - beta')(alpha' - alpha) / ((beta - alpha')(beta' - alpha)).
+    x -> 1/(x - r0) turns P into a cubic and gives the same integral in
+    Carlson's symmetric form, 2 R_F(u_1, u_2, u_3) / sqrt(prod |r - r0|)
+    with u_r = |r - y| / (|y - r0| |r - r0|) over the other three roots r.
+    Each u_r is a ratio of root differences: no amplitude phi is formed and
+    nothing cancels near either band end.  y the band's other root gives
+    the full band, g K(m).
+    """
+    others = [r for r in roots if r != r0]
+    u = [abs((r - y) / ((y - r0) * (r - r0))) for r in others]
+    return 2 * elliprf(*u) / sqrt(abs(fprod(r - r0 for r in others)))
+
+
 def _rho_af(params, geom, mu, p):
     # rho = |Im omega(mu + i0)| / pi, and Im(1/sqrt P(x + i0)) is
-    # -1/sqrt|P| on the outer band, +1/sqrt|P| on the inner one, 0 elsewhere
-    roots = _af_roots(geom)
-    if not roots[0] < mu < roots[3]:
+    # -1/sqrt|P| on the outer band, +1/sqrt|P| on the inner one, 0 elsewhere.
+    # Both full bands are g K(m), so pi rho is the part of mu's band on the
+    # far side of mu from the saturated core, and a full band on the core.
+    al, alp, bep, be = roots = _af_roots(geom)
+    if not al < mu < be:
         return mpf(0)
-
-    def above_mu(a, b):   # the cut integral over (mu, inf) and band [a, b]
-        if mu >= b:
-            return mpf(0)
-        if mu - a >= b - mu:   # else 1/sqrt(x - a) peaks at the end mu
-            return _cut_integral(roots, mu, b, p)
-        full = _cut_integral(roots, a, b, p)
-        return full if mu <= a else full - _cut_integral(roots, a, mu, p)
-
-    return abs(above_mu(roots[0], roots[1]) - above_mu(roots[2], roots[3])) / pi
+    if mu <= alp:
+        return _band_integral(roots, al, mu) / pi
+    return _band_integral(roots, be, max(mu, bep)) / pi
 
 
 _OMEGA = {PHASE_FE: _fe_omega, PHASE_D: _d_omega, PHASE_AF: _af_omega}
@@ -140,7 +157,12 @@ _RHO = {PHASE_FE: _rho_fe, PHASE_D: _rho_d, PHASE_AF: _rho_af}
 
 def rho_at(params: PhaseParams, geom: SaddleGeometry, mu,
            p: Precision = Precision()):
-    """Density rho(mu) = |Im omega(mu + i0)| / pi at a single point."""
+    """Density rho(mu) = |Im omega(mu + i0)| / pi at a single point.
+
+    fe and d evaluate the closed-form density.  af evaluates one incomplete
+    elliptic integral of the first kind in closed form (Carlson's R_F), good
+    to 2^(-bits+8) relative up to the roots of P; no quadrature is involved.
+    """
     with p.work():
         out = _RHO[params.phase](params, geom, mpf(mu), p)
     return rounded(out, p)

@@ -166,8 +166,8 @@ def cmd_exact(args):
     p = Precision(args.bits)
     prm = _params_from_args(args, p)
     rows = []
-    for tv in _by_n(tau_sequence, prm, parse_int_range(args.n), p):
-        z = z_from_tau(prm, tv, p)
+    taus = _by_n(tau_sequence, prm, parse_int_range(args.n), p)
+    for tv, z in zip(taus, z_from_tau(prm, taus, p)):
         with p.work():
             logz_n2 = mp.log(abs(z)) / tv.n ** 2
         rows.append((tv.n, _fmt(tv.log_scaled, args.bits), _fmt(z, args.bits),
@@ -286,14 +286,14 @@ def cmd_check(args):
                       ("af", mpf("0.3"), mpf("1.0"))]
         ns = parse_int_range(args.n)
         prms = [phase_params(phase, t, g, p) for phase, t, g in points]
-        phases = [(prm, weights_from(prm, p), _by_n(tau_sequence, prm, ns, p))
+        phases = [(prm, weights_from(prm, p),
+                   z_from_tau(prm, _by_n(tau_sequence, prm, ns, p), p))
                   for prm in prms]
         for i, n in enumerate(ns):
-            for prm, w, seq in phases:
+            for prm, w, zs in phases:
                 zbf = Z_bruteforce(n, w.a, w.b, w.c, p)   # rejects n > MAX_ENUM_N
-                zdet = z_from_tau(prm, seq[i], p)
                 with p.work():
-                    rel = (zdet - zbf) / zbf
+                    rel = (zs[i] - zbf) / zbf
                 checks.append((f"oracle_{prm.phase}_N{n}", rel, tol))
     elif args.target == "identities":
         checks = identity_checks(p)

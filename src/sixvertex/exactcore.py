@@ -393,7 +393,7 @@ def tau_sequence(params: PhaseParams, N_max: int,
         run, gaps = _round(params, N_max, w)
         gap = max(gaps)
         if gap <= mpf(2) ** (-p.bits - 8):
-            with mp.workprec(w):
+            with p.work():   # s is good to 2^(-bits-8); its log needs no more
                 return [TauValue(n, rounded(s, p), rounded(log(abs(s)), p))
                         for n, s in enumerate(run, 1)]
         loss = _loss(w, gap)
@@ -416,18 +416,19 @@ def tau_scaled(params: PhaseParams, N: int,
     return tau_sequence(params, N, p)[-1]
 
 
-def z_from_tau(params: PhaseParams, tau: TauValue,
-               p: Precision = Precision()):
-    """Z_N = (a*b)^(N^2) * tau_N / c_N from a computed tau_N / c_N."""
+def z_from_tau(params: PhaseParams, taus, p: Precision = Precision()) -> list:
+    """Z_N = (a*b)^(N^2) * tau_N / c_N for each computed tau_N / c_N of taus
+    (a tau_sequence or part of one), all from one a*b at bits + 64."""
     w = weights_from(params, Precision(p.bits + 64))
     with p.work():
-        out = (mpf(w.a) * mpf(w.b)) ** (tau.n * tau.n) * mpf(tau.scaled_tau)
-    return rounded(out, p)
+        ab = mpf(w.a) * mpf(w.b)
+        return [rounded(ab ** (tau.n * tau.n) * mpf(tau.scaled_tau), p)
+                for tau in taus]
 
 
 def partition_Z(params: PhaseParams, N: int, p: Precision = Precision()):
     """Z_N = (a*b)^(N^2) * tau_N / c_N."""
-    return z_from_tau(params, tau_scaled(params, N, p), p)
+    return z_from_tau(params, [tau_scaled(params, N, p)], p)[0]
 
 
 # ---------------------------------------------------------------------------

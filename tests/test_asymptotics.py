@@ -14,7 +14,8 @@ below).
 """
 
 import pytest
-from mpmath import mp, mpf, mpc, sqrt, sinh, cosh, tanh, exp, log, pi, cos
+from mpmath import (mp, mpf, mpc, sqrt, sinh, cosh, tanh, exp, log, pi, cos,
+                    sin, asin, ellipf, ellipk, fprod, quad)
 
 from sixvertex import (DegenerateGeometryError, DomainError, Precision,
                        F_modular, bulk_f, chemb_residual,
@@ -448,7 +449,7 @@ class TestDensity:
                 mpf(geom.alpha), mpf(geom.alpha_prime),
                 mpf(geom.beta_prime), mpf(geom.beta))
             # a quarter into the inner band from its free end, three quarters
-            # into the outer one: rho_at integrates from opposite band ends
+            # into the outer one
             inner, gap = (3 * al + alp) / 4, (alp + bep) / 2
             outer = (bep + 3 * be) / 4
         for mu in (inner, gap, outer):
@@ -458,8 +459,8 @@ class TestDensity:
                 assert abs(r256 - r512) < tol * r512
         with mp.workprec(288):
             assert abs(rho_at(prm, geom, gap, P) - mpf(1) / 2) < tol
-            # from the saturated end of a band, rho = 1/(2 gamma) - the cut
-            # integral from mu to that end / pi
+            # rho_at integrates from a band's free end; from its saturated
+            # end, rho = 1/(2 gamma) - the cut integral from mu to that end / pi
             for mu, a, b in ((inner, inner, alp), (outer, bep, outer)):
                 from_core = mpf(1) / 2 - _cut_integral(roots, a, b, P) / pi
                 assert abs(rho_at(prm, geom, mu, P) - from_core) < tol
@@ -489,6 +490,72 @@ class TestDensity:
             core = (log(z - alp) - log(z - bep)) / 2
             omega = (outer_band + inner_band) / pi + core
             assert abs(omega - resolvent(prm96, geom96, z, p96)) < mpf(2) ** -80
+
+
+@pytest.mark.parametrize("bits", [256, 512])
+@pytest.mark.parametrize("gamma", ["0.5", "1", "2"])
+@pytest.mark.parametrize("zeta", ["-0.9", "-0.5", "0", "0.4", "0.9"])
+def test_af_rho_closed_form_against_quadrature(zeta, gamma, bits):
+    # rho_at evaluates a band integral of 1/sqrt|P| in closed form.  The
+    # oracles: _cut_integral and the Legendre form g F(phi, m), each from the
+    # band end nearer mu, at interior mu and 1e-30 from each root; and
+    # Gauss-Legendre quadrature at two interior points
+    p = Precision(bits)
+    with mp.workprec(bits + 64):
+        prm = phase_params("af", mpf(zeta) * mpf(gamma), gamma, p)
+    geom = endpoints(prm, p)
+    tol = mpf(2) ** (8 - bits)
+    with p.work():
+        roots = al, alp, bep, be = (
+            mpf(geom.alpha), mpf(geom.alpha_prime),
+            mpf(geom.beta_prime), mpf(geom.beta))
+        g = 2 / sqrt((be - alp) * (bep - al))
+        m = (be - bep) * (alp - al) / ((be - alp) * (bep - al))
+        assert abs(m - mpf(geom.elliptic.kprime) ** 2) < tol
+        full = _cut_integral(roots, bep, be, p)   # either band, g K(m)
+        assert abs(g * ellipk(m) / full - 1) < tol
+        inner, outer = (3 * al + alp) / 4, (bep + 3 * be) / 4
+        eps = mpf("1e-30")
+        mus = (inner, al + eps, alp - eps, (alp + bep) / 2, bep + eps,
+               be - eps, outer)
+
+    def oracle(mu):   # pi rho by quadrature from the band end nearer mu
+        if mu < alp:
+            return (_cut_integral(roots, al, mu, p) if mu - al < alp - mu
+                    else full - _cut_integral(roots, mu, alp, p))
+        if mu > bep:
+            return (_cut_integral(roots, mu, be, p) if be - mu < mu - bep
+                    else full - _cut_integral(roots, bep, mu, p))
+        return full
+
+    def legendre(mu):   # Byrd-Friedman g F(phi, m) from the root nearer mu
+        def F(sn2):
+            return g * ellipf(asin(sqrt(sn2)), m)
+        if mu < alp:
+            if mu - al < alp - mu:   # 256.00
+                return F((be - alp) * (mu - al) / ((alp - al) * (be - mu)))
+            return full - F((bep - al) * (alp - mu)    # 257.00
+                            / ((alp - al) * (bep - mu)))
+        if be - mu < mu - bep:   # 251.00
+            return F((bep - al) * (be - mu) / ((be - bep) * (mu - al)))
+        return full - F((be - alp) * (mu - bep)    # 252.00
+                        / ((be - bep) * (mu - alp)))
+
+    def direct(a, b):   # x = a + (b - a) sin^2 t from the root a
+        others = [r for r in roots if r != a]
+        return quad(lambda t: 2 * sqrt(abs(b - a)) * cos(t) / sqrt(abs(fprod(
+            a + (b - a) * sin(t) ** 2 - r for r in others))), [0, pi / 2],
+            method="gauss-legendre")
+
+    for mu in mus:
+        rho = rho_at(prm, geom, mu, p)
+        with p.work():
+            assert abs(pi * rho / oracle(mu) - 1) < tol, mu
+            if not alp <= mu <= bep:
+                assert abs(pi * rho / legendre(mu) - 1) < tol, mu
+    with p.work():
+        assert abs(pi * rho_at(prm, geom, inner, p) / direct(al, inner) - 1) < tol
+        assert abs(pi * rho_at(prm, geom, outer, p) / direct(be, outer) - 1) < tol
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,26 @@ def test_rows_reuse_what_the_command_computed_once(monkeypatch, capsys):
     assert code == 0 and calls["tau_sequence"] == 3, calls
 
 
+def test_af_density_runs_no_quadrature(monkeypatch, capsys):
+    # the af density is closed form: no mpmath.quad call in the resolvent
+    # layer, so the slow route cannot come back unnoticed
+    import importlib
+    resolvent = importlib.import_module("sixvertex.asymptotics.resolvent")
+    calls = []
+    quad = resolvent.quad
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+    monkeypatch.setattr(resolvent, "quad", counting)
+    code, out, _ = run(["density", "--phase", "af", "--gamma", "1", "--zeta",
+                        "0", "--grid", "5"], capsys)
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert code == 0 and len(rows) == 5
+    assert {row[2] for row in rows} == {"0", "1"}   # bands and core sampled
+    assert calls == []
+
+
 def test_check_toda_passes(capsys):
     code, out, _ = run(["check", "toda", "--phase", "af", "--gamma", "1",
                         "--t", "0.2", "--n", "1..4", "--bits", "128"], capsys)

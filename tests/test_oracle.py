@@ -156,7 +156,7 @@ def test_asm_product_matches_enumeration():
 def _d_sequence(t, gamma, n_max):
     """Z_1..Z_n_max in d at (t, gamma), gamma an mpf at bits + 96."""
     prm = phase_params("d", t, gamma, P)
-    return [z_from_tau(prm, tv, P) for tv in tau_sequence(prm, n_max, P)]
+    return z_from_tau(prm, tau_sequence(prm, n_max, P), P)
 
 
 @pytest.mark.parametrize("t", ["0", "0.3", "-0.5"])
