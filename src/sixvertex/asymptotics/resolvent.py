@@ -1,19 +1,19 @@
 """Resolvent of the limiting eigenvalue density and the density itself.
 
-fe and d have closed forms for both.  The af resolvent omega(z) =
-int_z^inf dx / sqrt P(x), P = (x-alpha)(x-alpha')(x-beta')(x-beta), is
-integrated along a ray off the axis.  On the axis the af density is a band
-integral of 1/sqrt|P| from a root of P, an incomplete elliptic integral of
-the first kind evaluated in closed form by :func:`_band_integral`.  The
-saddle equation's boundary value of omega and the normalization are real
-integrals of w(x) / sqrt|P(x)| between roots of P, computed by the
-quadrature :func:`_cut_integral`, which is also the density's test oracle.
+fe and d have closed forms for both.  In af every quantity is an elliptic
+integral over P = (x-alpha)(x-alpha')(x-beta')(x-beta), each taken in
+Carlson's closed forms: the resolvent omega(z) = int_z^inf dx / sqrt P(x) is
+one complex R_F (:func:`_af_omega`), which on a band also gives the saddle
+equation's boundary value omega(mu + i0); the density is a band integral of
+1/sqrt|P| from a root of P, one real R_F (:func:`_band_integral`); the
+normalization is complete integrals of the first and third kinds.  Only the
+fe/d normalization integrates numerically.
 """
 
 from __future__ import annotations
 
 from mpmath import (mp, mpf, mpc, sqrt, log, pi, quad, conj, re, im, atan,
-                    sin, fprod, elliprf)
+                    fprod, elliprf, ellipk, ellippi)
 
 from ..errors import DomainError, QuadratureError
 from ..exactcore import PHASE_AF, PHASE_D, PHASE_FE, PhaseParams
@@ -44,49 +44,17 @@ def _af_roots(geom):
 def _af_omega(params, geom, z):
     """Integral of 1/sqrt(quartic) from z to +infinity, z off the support.
 
-    Principal roots of the four linear factors pin the cuts to the bands.
-    The path is the horizontal ray at Im(z), split below the branch points
-    right of z; for real z left of the support it first lifts off the axis.
+    Carlson's 2 R_F(U_12^2, U_13^2, U_14^2) (DLMF 19.29.4 with x -> inf),
+    with y_j = sqrt(z - r_j) principal roots, which pin the cuts to the
+    bands, and U_12 = y_1 y_2 + y_3 y_4, U_13 = y_1 y_3 + y_2 y_4,
+    U_14 = y_1 y_4 + y_2 y_3.  Homogeneity takes U_12 out of R_F with its
+    sign: the root sqrt(U_12^2) would flip the sign on the left half-plane.
+    For real z on a band the principal roots give omega(z + i0).
     """
-    roots = _af_roots(geom)
-
-    def s(x):
-        return fprod(sqrt(x - r) for r in roots)
-
-    if im(z) == 0 and re(z) < roots[0]:
-        leg = quad(lambda u: 1 / s(z + mpc(0, 1) * u), [0, 1]) * mpc(0, 1)
-        return leg + _af_omega(params, geom, mpc(re(z), 1))
-    marks = sorted(r - re(z) for r in roots if r > re(z))
-    return quad(lambda sdist: 1 / s(z + sdist), [mpf(0)] + marks + [mp.inf])
-
-
-def _cut_integral(roots, lo, hi, p: Precision, w=lambda x: 1):
-    """int_lo^hi w(x) dx / sqrt|P(x)|, the inverse square root at each root
-    end absorbed by x = a + (b-a) sin^2(t) between adjacent roots a, b, by
-    x = r + (mu-r) v^2 from a root r to a point mu of its band, and by
-    x = beta + u^2 from the largest root to +inf.  Raises QuadratureError if
-    mpmath's error estimate exceeds 2^(-bits+8) of the value.  Serves the
-    weighted integrals of the normalization and the saddle equation; for
-    w = 1 on a band it is the test oracle of :func:`_band_integral`."""
-    others = [r for r in roots if r != lo and r != hi]
-
-    def smooth(x):   # the factors of P that no substitution absorbed
-        return 2 * w(x) / sqrt(abs(fprod(x - r for r in others)))
-
-    if hi == mp.inf:
-        val, err = quad(lambda u: smooth(lo + u * u), [0, mp.inf], error=True)
-    elif lo in roots and hi in roots:
-        val, err = quad(lambda t: smooth(lo + (hi - lo) * sin(t) ** 2),
-                        [0, pi / 2], error=True)
-    else:
-        # v in [0, 1] keeps the integrand O(1): quad's tolerance is absolute
-        root, span = (hi, lo - hi) if hi in roots else (lo, hi - lo)
-        val, err = (sqrt(abs(span)) * x for x in quad(
-            lambda v: smooth(root + span * v * v), [0, 1], error=True))
-    if err > mpf(2) ** (8 - p.bits) * abs(val):
-        raise QuadratureError(f"quadrature from {mp.nstr(lo, 8)} stalled at "
-                              f"error {mp.nstr(err, 5)}", achieved=err)
-    return val
+    y1, y2, y3, y4 = (sqrt(z - r) for r in _af_roots(geom))
+    u12 = y1 * y2 + y3 * y4
+    return 2 / u12 * elliprf(1, ((y1 * y3 + y2 * y4) / u12) ** 2,
+                             ((y1 * y4 + y2 * y3) / u12) ** 2)
 
 
 def resolvent(params: PhaseParams, geom: SaddleGeometry, z,
@@ -189,24 +157,35 @@ def density_normalization(params: PhaseParams, geom: SaddleGeometry,
                           p: Precision = Precision()):
     """int rho(mu) dmu over the support.
 
-    fe/d integrate the closed-form density.  In af rho on a band is a cut
-    integral up to a band end; swapping the integrations leaves, over
-    pi sqrt|P(x)| dx, (x - beta') on [beta', beta] for the outer band and
-    (alpha' - alpha) on [beta', beta] less (x - alpha) on [alpha, alpha'] for
-    the inner one.  The saturated core adds (beta' - alpha') / (2 gamma).
+    fe/d integrate the closed-form density and raise QuadratureError if
+    mpmath's error estimate exceeds 2^(-bits+8) of the value.  In af rho on
+    a band is a band integral up to a band end; swapping the integrations
+    leaves, over pi sqrt|P(x)| dx, (x - beta') on [beta', beta] for the
+    outer band and (alpha' - alpha) on [beta', beta] less (x - alpha) on
+    [alpha, alpha'] for the inner one.  With g and m of
+    :func:`_band_integral`, those are g ((beta - alpha) Pi(n_2|m)
+    - (beta' - alpha) K(m)), g K(m) and g (beta - alpha) (K(m) - Pi(n_1|m)),
+    n_1 = -(alpha' - alpha) / (beta - alpha') and
+    n_2 = -(beta - beta') / (beta' - alpha) (Byrd-Friedman 251-257).  The
+    saturated core adds (beta' - alpha') / (2 gamma).
     """
     with p.work():
         (lo, hi), sat, _ = support_and_saturation(params, geom)
         if params.phase != PHASE_AF:
             split = sat[0][1] if params.phase == PHASE_FE else mpf(0)
-            out = quad(lambda mu: _RHO[params.phase](params, geom, mu, p),
-                       [lo, split, hi])
+            out, err = quad(lambda mu: _RHO[params.phase](params, geom, mu, p),
+                            [lo, split, hi], error=True)
+            if err > mpf(2) ** (8 - p.bits) * abs(out):
+                raise QuadratureError(f"quadrature of rho stalled at error "
+                                      f"{mp.nstr(err, 5)}", achieved=err)
         else:
-            roots = al, alp, bep, be = _af_roots(geom)
-            outer = _cut_integral(roots, bep, be, p, lambda x: x - bep)
-            inner = (alp - al) * _cut_integral(roots, bep, be, p) \
-                - _cut_integral(roots, al, alp, p, lambda x: x - al)
-            out = (outer + inner) / pi + (bep - alp) / (2 * mpf(params.gamma))
+            al, alp, bep, be = _af_roots(geom)
+            g = 2 / sqrt((be - alp) * (bep - al))
+            m = (be - bep) * (alp - al) / ((be - alp) * (bep - al))
+            pis = ellippi(-(alp - al) / (be - alp), m) \
+                + ellippi(-(be - bep) / (bep - al), m)
+            bands = (be - al) * pis - (be + bep - al - alp) * ellipk(m)
+            out = g * bands / pi + (bep - alp) / (2 * mpf(params.gamma))
     return rounded(out, p)
 
 
@@ -216,12 +195,10 @@ def saddle_residual(params: PhaseParams, geom: SaddleGeometry, mu,
 
         omega(mu+i0) + omega(mu-i0) - V'(mu)
 
-    with V' = 2*t_e for fe and sign(mu) - zeta for d/af.  fe/d take the real
-    part of the closed form on the axis, where it is the same on both sides
-    of the cut.  In af Re omega(mu + i0) is the cut integral of 1/sqrt P over
-    [beta, inf), less that over [alpha', beta'] on the inner band.  mu off
-    the unsaturated support (the two bands in af), or at d's jump mu = 0,
-    raises DomainError.
+    with V' = 2*t_e for fe and sign(mu) - zeta for d/af: twice the real part
+    of the closed-form omega(mu + i0), which is the same on both sides of
+    the cut.  mu off the unsaturated support (the two bands in af), or at
+    d's jump mu = 0, raises DomainError.
     """
     with p.work():
         mu = mpf(mu)
@@ -230,16 +207,12 @@ def saddle_residual(params: PhaseParams, geom: SaddleGeometry, mu,
         else:
             target = (1 if mu > 0 else -1) - mpf(params.zeta)
         if params.phase == PHASE_AF:
-            roots = al, alp, bep, be = _af_roots(geom)
+            al, alp, bep, be = _af_roots(geom)
             if not (al < mu < alp or bep < mu < be):
                 raise DomainError("mu is off the two unsaturated af bands")
-            both = 2 * _cut_integral(roots, be, mp.inf, p)
-            if mu < alp:
-                both -= 2 * _cut_integral(roots, alp, bep, p)
         else:
             lo, hi = sorted((mpf(geom.alpha), mpf(geom.beta)))
             if not lo < mu < hi or mu == 0:   # d: V' jumps at 0
                 raise DomainError("mu is off the unsaturated support")
-            both = 2 * re(_OMEGA[params.phase](params, geom, mpc(mu)))
-        out = both - target
+        out = 2 * re(_OMEGA[params.phase](params, geom, mpc(mu))) - target
     return rounded(out, p)

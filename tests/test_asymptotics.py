@@ -13,18 +13,23 @@ closed theta form and the exact finite-N data confirm; see the sign tests
 below).
 """
 
+import importlib
+
 import pytest
 from mpmath import (mp, mpf, mpc, sqrt, sinh, cosh, tanh, exp, log, pi, cos,
-                    sin, asin, ellipf, ellipk, fprod, quad)
+                    sin, asin, ellipf, ellipk, ellippi, fprod, quad, re, im)
 
 from sixvertex import (DegenerateGeometryError, DomainError, Precision,
-                       F_modular, bulk_f, chemb_residual,
+                       QuadratureError, F_modular, bulk_f, chemb_residual,
                        density_normalization, dfdzeta, endpoints,
                        f_small_gamma, ode_check, phase_params, resolvent,
                        rho_at, saddle_residual, subleading_AF_fit,
                        smooth_fit_D, tau_sequence, weights_from)
 from sixvertex.asymptotics import support_and_saturation
-from sixvertex.asymptotics.resolvent import _cut_integral
+from sixvertex.asymptotics.resolvent import _af_omega
+
+# the module, not the function that sixvertex.asymptotics re-exports
+_resolvent = importlib.import_module("sixvertex.asymptotics.resolvent")
 
 P = Precision(256)
 P128 = Precision(128)
@@ -306,6 +311,59 @@ class TestOdeCheck:
 # ---------------------------------------------------------------------------
 
 
+def _cut_integral(roots, lo, hi, p: Precision, w=lambda x: 1):
+    """int_lo^hi w(x) dx / sqrt|P(x)| by tanh-sinh quadrature, the oracle of
+    the af closed forms.  The inverse square root at each root end is
+    absorbed by x = a + (b-a) sin^2(t) between adjacent roots a, b, and by
+    x = r + (mu-r) v^2 from a root r to a point mu of its band.  Raises
+    QuadratureError if mpmath's error estimate exceeds 2^(-bits+8) of the
+    value."""
+    others = [r for r in roots if r != lo and r != hi]
+
+    def smooth(x):   # the factors of P that no substitution absorbed
+        return 2 * w(x) / sqrt(abs(fprod(x - r for r in others)))
+
+    if lo in roots and hi in roots:
+        val, err = quad(lambda t: smooth(lo + (hi - lo) * sin(t) ** 2),
+                        [0, pi / 2], error=True)
+    else:
+        # v in [0, 1] keeps the integrand O(1): quad's tolerance is absolute
+        root, span = (hi, lo - hi) if hi in roots else (lo, hi - lo)
+        val, err = (sqrt(abs(span)) * x for x in quad(
+            lambda v: smooth(root + span * v * v), [0, 1], error=True))
+    if err > mpf(2) ** (8 - p.bits) * abs(val):
+        raise QuadratureError(f"quadrature from {mp.nstr(lo, 8)} stalled at "
+                              f"error {mp.nstr(err, 5)}", achieved=err)
+    return val
+
+
+def _ray_omega(roots, z):
+    """int_z^inf dx / sqrt P(x) by tanh-sinh quadrature, the oracle of the
+    closed-form af resolvent.  Principal roots of the four linear factors
+    pin the cuts to the bands.  The path is the horizontal ray at Im(z),
+    split below the branch points right of z; for real z left of the
+    support it first lifts off the axis."""
+    def s(x):
+        return fprod(sqrt(x - r) for r in roots)
+
+    if im(z) == 0 and re(z) < roots[0]:
+        leg = quad(lambda u: 1 / s(z + mpc(0, 1) * u), [0, 1]) * mpc(0, 1)
+        return leg + _ray_omega(roots, mpc(re(z), 1))
+    marks = sorted(r - re(z) for r in roots if r > re(z))
+    return quad(lambda sdist: 1 / s(z + sdist), [mpf(0)] + marks + [mp.inf])
+
+
+def _af_point(gamma, zeta, p):
+    """af params, geometry and the roots alpha < alpha' < beta' < beta."""
+    with mp.workprec(p.bits + 64):
+        prm = phase_params("af", mpf(zeta) * mpf(gamma), gamma, p)
+    geom = endpoints(prm, p)
+    with p.work():
+        roots = (mpf(geom.alpha), mpf(geom.alpha_prime),
+                 mpf(geom.beta_prime), mpf(geom.beta))
+    return prm, geom, roots
+
+
 class TestResolvent:
     def test_large_z_normalization(self):
         for phase, t, g in (("fe", "1.5", "0.4"), ("d", "0.3", "1.0"),
@@ -471,7 +529,7 @@ class TestDensity:
             saddle_residual(prm, geom, gap, P)    # saturated: no equation
 
         # int rho(mu) / (z - mu) dmu, with rho's own cut integral swapped
-        # outside, against the off-axis path integral of resolvent()
+        # outside, against the closed form of resolvent()
         p96 = Precision(96)
         prm96 = _params("af", "0.3", "1.0", p96)
         geom96 = endpoints(prm96, p96)
@@ -556,6 +614,104 @@ def test_af_rho_closed_form_against_quadrature(zeta, gamma, bits):
     with p.work():
         assert abs(pi * rho_at(prm, geom, inner, p) / direct(al, inner) - 1) < tol
         assert abs(pi * rho_at(prm, geom, outer, p) / direct(be, outer) - 1) < tol
+
+
+_AF_POINTS = [("1", "0.3"), ("0.5", "-0.9"), ("2", "0.9"), ("0.3", "0.5")]
+
+
+@pytest.mark.parametrize("gamma,zeta,bits",
+                         [g_z + (96,) for g_z in _AF_POINTS] + [("1", "0.3", 256)])
+def test_af_omega_closed_form_against_ray(gamma, zeta, bits):
+    # resolvent() is one complex Carlson R_F; the oracle integrates along a
+    # ray.  z: left of alpha on the axis, just above each band and the gap,
+    # right of beta on the axis, and in the left half-plane.  At 256 bits
+    # only the first and last, the ray costing about 0.3 s per z there
+    p = Precision(bits)
+    prm, geom, roots = _af_point(gamma, zeta, p)
+    al, alp, bep, be = roots
+    tol = mpf(2) ** (8 - bits)
+    with p.work():
+        h = mpf("1e-3")
+        zs = [mpc(al - 1), mpc((al + alp) / 2, h), mpc((alp + bep) / 2, h),
+              mpc((bep + be) / 2, h), mpc(be + 1), mpc(-be, be)]
+    for z in (zs if bits == 96 else zs[::5]):
+        omega = resolvent(prm, geom, z, p)
+        with p.work():
+            assert abs(omega / _ray_omega(roots, z) - 1) < tol, z
+
+    # on a band the same form is omega(mu + i0), whose Im is -+pi rho
+    with p.work():
+        eps = mpf(2) ** (-bits // 2)
+        mus = [(al + alp) / 2, (bep + be) / 2, al + eps, alp - eps,
+               bep + eps, be - eps]
+    for mu in mus:
+        rho = rho_at(prm, geom, mu, p)
+        with p.work():
+            assert abs(abs(im(_af_omega(prm, geom, mpc(mu)))) / (pi * rho)
+                       - 1) < tol, mu
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("gamma,zeta", _AF_POINTS + [("4", "-0.3")])
+def test_af_normalization_closed_form_against_quadrature(gamma, zeta, bits):
+    # the af normalization is Legendre's complete K and Pi; the oracle is the
+    # Fubini sum of the x-weighted cut integrals by quadrature
+    p = Precision(bits)
+    prm, geom, roots = _af_point(gamma, zeta, p)
+    al, alp, bep, be = roots
+    tol = mpf(2) ** (8 - bits)
+    norm = density_normalization(prm, geom, p)
+    with p.work():
+        g = 2 / sqrt((be - alp) * (bep - al))
+        m = (be - bep) * (alp - al) / ((be - alp) * (bep - al))
+        K = ellipk(m)
+        outer = _cut_integral(roots, bep, be, p, lambda x: x - bep)
+        lower = _cut_integral(roots, al, alp, p, lambda x: x - al)
+        pi2 = ellippi(-(be - bep) / (bep - al), m)
+        pi1 = ellippi(-(alp - al) / (be - alp), m)
+        assert abs(g * ((be - al) * pi2 - (bep - al) * K) / outer - 1) < tol
+        assert abs(g * (be - al) * (K - pi1) / lower - 1) < tol
+        fubini = (outer + (alp - al) * _cut_integral(roots, bep, be, p)
+                  - lower) / pi + (bep - alp) / (2 * mpf(prm.gamma))
+        assert abs(norm - fubini) < tol
+        assert abs(norm - 1) < tol
+
+
+def test_af_resolvent_layer_runs_no_quadrature(monkeypatch):
+    # resolvent, saddle residual and normalization are closed forms in af:
+    # no mpmath.quad call, so the slow routes cannot come back unnoticed
+    calls = []
+    quad_ = _resolvent.quad
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return quad_(*args, **kwargs)
+    monkeypatch.setattr(_resolvent, "quad", counting)
+    prm, geom, (al, alp, bep, be) = _af_point("1", "0.3", P96)
+    with P96.work():
+        zs = (al - 1, mpc(2, 1), mpc(-be, be))
+        mus = ((al + alp) / 2, (bep + be) / 2)
+    for z in zs:
+        resolvent(prm, geom, z, P96)
+    for mu in mus:
+        saddle_residual(prm, geom, mu, P96)
+    density_normalization(prm, geom, P96)
+    assert calls == []
+
+
+@pytest.mark.parametrize("phase,t,gamma", [("fe", "1.5", "0.4"),
+                                           ("d", "0.3", "1.0")])
+def test_normalization_raises_on_quadrature_error(monkeypatch, phase, t, gamma):
+    # fe/d integrate rho numerically and check mpmath's error estimate
+    prm = _params(phase, t, gamma, P96)
+    geom = endpoints(prm, P96)
+    quad_ = _resolvent.quad
+
+    def noisy(f, intervals, error=False):
+        return quad_(f, intervals), mpf(2) ** -40
+    monkeypatch.setattr(_resolvent, "quad", noisy)
+    with pytest.raises(QuadratureError):
+        density_normalization(prm, geom, P96)
 
 
 # ---------------------------------------------------------------------------
