@@ -22,7 +22,8 @@ from ..exactcore import (PHASE_AF, PHASE_D, PHASE_FE, PhaseParams, c_factor,
                          weights_from)
 from ..precision import (Precision, bilinear_residual, central_differences,
                          rounded)
-from ..specfun import elliptic_data_from_gamma, theta, theta1_prime_zero
+from ..specfun import (elliptic_data_from_gamma, theta, theta1_prime_zero,
+                       theta_pair)
 from .geometry import endpoints
 
 
@@ -87,9 +88,8 @@ def dfdzeta(params: PhaseParams, p: Precision = Precision()):
                   + mpf(geom.beta_prime) + mpf(geom.beta)) / 4
             pp = Precision(p.bits + 32)
             z2 = pi * mpf(params.zeta) / 2
-            q = geom.elliptic.q
-            closed = -(pi / 2) * theta(2, z2, q, pp, derivative=1) \
-                / theta(2, z2, q, pp)
+            th2, dth2 = theta_pair(2, z2, geom.elliptic.q, pp)
+            closed = -(pi / 2) * dth2 / th2
     return rounded(ep, p), rounded(closed, p)
 
 

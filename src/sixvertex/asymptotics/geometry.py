@@ -2,23 +2,24 @@
 
 fe and d admit closed-form endpoints.  In af the support splits into two
 bands around a saturated core, parameterized by elliptic functions with nome
-q = exp(-pi^2/(2*gamma)); the endpoints follow from Jacobi sn/cn/dn and the
-Zeta function at u_inf = K(1-zeta)/2, so no root-finding is involved.  The
-chemical-potential balance between the two bands is exposed as a residual
-check instead.
+q = exp(-pi^2/(2*gamma)).  The endpoints are theta quotients at
+v = pi*(1-zeta)/4 in that nome (DLMF 22.2, 22.16(iii)), each beta' plus one
+term, so no root-finding is involved and no large terms cancel as
+|zeta| -> 1.  The chemical-potential balance between the two bands is
+exposed as a residual check, on the independent Landen route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, tan, tanh, cosh, sinh, pi
+from mpmath import mpf, tan, tanh, cosh, sinh, pi
 
 from ..errors import DegenerateGeometryError, PhaseDomainError
 from ..exactcore import PHASE_AF, PHASE_D, PHASE_FE, PhaseParams
 from ..precision import Precision, rounded
 from ..specfun import (EllipticData, elliptic_data_from_gamma, jacobi_sn_cn_dn,
-                       jacobi_zeta, jacobi_zeta_from_E)
+                       jacobi_zeta, theta, theta_pair)
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,14 @@ class SaddleGeometry:
 
 
 def endpoints(params: PhaseParams, p: Precision = Precision()) -> SaddleGeometry:
-    """Endpoint geometry for a validated phase point."""
+    """Endpoint geometry for a validated phase point.
+
+    af: theta_j = theta_j(v, q) at v = pi*(1-zeta)/4 = pi*u_inf/(2K) give
+    beta' = pi theta_4'/theta_4 = 2K Z(u_inf) and, each beta' plus one term,
+    beta = beta' + 2K k' theta_2 theta_3/(theta_1 theta_4) (2K cn dn/sn),
+    alpha = beta' - 2K theta_1 theta_3/(theta_2 theta_4) (2K sn dn/cn) and
+    alpha' = beta' - 2K k theta_1 theta_2/(theta_3 theta_4) (2K k^2 sn cn/dn).
+    """
     if params.phase == PHASE_FE:
         with p.work():
             t_e = mpf(params.t) - abs(mpf(params.gamma))
@@ -67,14 +75,15 @@ def endpoints(params: PhaseParams, p: Precision = Precision()) -> SaddleGeometry
                 "af geometry degenerates at zeta = +/-1 (t -> +/-gamma)")
         pp = Precision(p.bits + 32)
         ell = elliptic_data_from_gamma(params.gamma, pp)
-        K = mpf(ell.bigK)
+        K, q = mpf(ell.bigK), ell.q
+        v = pi * (1 - zeta) / 4
+        th1, th2, th3 = (theta(j, v, q, pp) for j in (1, 2, 3))
+        th4, dth4 = theta_pair(4, v, q, pp)
+        beta_prime = pi * dth4 / th4
+        beta = beta_prime + 2 * K * ell.kprime * th2 * th3 / (th1 * th4)
+        alpha = beta_prime - 2 * K * th1 * th3 / (th2 * th4)
+        alpha_prime = beta_prime - 2 * K * ell.k * th1 * th2 / (th3 * th4)
         u_inf = K * (1 - zeta) / 2
-        sn, cn, dn = jacobi_sn_cn_dn(u_inf, ell.k, pp)
-        Z = jacobi_zeta(u_inf, ell.k, pp)
-        beta_prime = 2 * K * Z
-        beta = beta_prime + 2 * K * cn * dn / sn
-        alpha = beta - 2 * K * dn / (sn * cn)
-        alpha_prime = beta - 2 * K * cn / (sn * dn)
     return SaddleGeometry(
         PHASE_AF,
         rounded(alpha, p),
@@ -92,18 +101,17 @@ def chemb_residual(params: PhaseParams, geom: SaddleGeometry,
 
         beta' - (beta - beta') * sn/(cn*dn) * Z(u_inf).
 
-    The Zeta value here comes from the Landen route
-    (:func:`~sixvertex.specfun.jacobi_zeta_from_E`, sum c_n sin phi_n over
-    the descending amplitudes), independent of the theta-series route that
-    built the geometry, so a small residual really does certify mutual
-    consistency of the endpoint equations.
+    sn, cn, dn and Z come from the Landen route over the AGM of k
+    (``specfun.jacobi_sn_cn_dn`` and ``specfun.jacobi_zeta``), independent
+    of the theta quotients that built the geometry, so a small residual
+    certifies beta and beta' against it.
     """
     if geom.phase != PHASE_AF:
         raise PhaseDomainError("chemical-potential residual applies to af only")
     with p.work():
         pp = Precision(p.bits + 32)
         sn, cn, dn = jacobi_sn_cn_dn(geom.u_inf, geom.elliptic.k, pp)
-        Z_indep = jacobi_zeta_from_E(geom.u_inf, geom.elliptic.k, pp)
+        Z = jacobi_zeta(geom.u_inf, geom.elliptic.k, pp)
         resid = mpf(geom.beta_prime) - (mpf(geom.beta) - mpf(geom.beta_prime)) \
-            * (sn / (cn * dn)) * Z_indep
+            * (sn / (cn * dn)) * Z
     return rounded(resid, p)

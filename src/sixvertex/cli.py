@@ -62,13 +62,13 @@ def parse_int_range(text):
     return [int(text)]
 
 
-def parse_grid(text, bits):
+def parse_grid(text):
     """'0.3' -> ['0.3'];  'a..b..step' -> inclusive decimal grid.
 
     Each point start + i*step is formed exactly in decimal and passed on as
     a decimal string, so a grid point parses as the same value given alone
     (the grid -0.9..0.9..0.1 holds '0.0').  The commands parse the strings
-    at their own precision, so bits is unused.
+    at their own precision.
     """
     parts = text.split("..")
     if len(parts) == 1:
@@ -185,7 +185,7 @@ def cmd_bulk(args):
     axis = "zeta" if args.zeta is not None else "t"
     # every row is validated before any is computed
     prms = [_phase_point(args.phase, args.gamma, p, **{axis: x})
-            for x in parse_grid(getattr(args, axis), args.bits)]
+            for x in parse_grid(getattr(args, axis))]
     rows = _map_jobs(partial(_bulk_row, bits=args.bits), prms, args.jobs)
     header = ["zeta", "t", "f", "z_limit", "alpha", "alpha_prime",
               "beta_prime", "beta"]
@@ -298,7 +298,8 @@ def cmd_check(args):
     elif args.target == "identities":
         checks = identity_checks(p)
     elif args.target == "laplace":
-        prm = phase_params("d", args.t or "0.3", args.gamma or "1.0", p)
+        prm = _phase_point("d", args.gamma or "1.0", p, args.t or "0.3",
+                           args.zeta)
         checks.append(("laplace_moments_max_err",
                        laplace_moment_check(prm, args.imax, p), mpf("1e-10")))
     elif args.target == "derivative":

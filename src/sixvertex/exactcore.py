@@ -436,24 +436,25 @@ def partition_Z(params: PhaseParams, N: int, p: Precision = Precision()):
 # ---------------------------------------------------------------------------
 
 
-def _stieltjes(nodes, weights, N: int):
+def _stieltjes(nodes, weights, N: int, probes=()):
     """Norms h_0..h_{N-1} of the monic orthogonal polynomials pi_k of
     sum_l weights[l] delta(x - nodes[l]), and the Christoffel-Darboux kernel
-    K(x) = sum_k pi_k(x)^2 / |h_k| at every node, by the discretized
+    K(x) = sum_k pi_k(x)^2 / |h_k| at every probe, by the discretized
     Stieltjes procedure (Gautschi 2004, section 2.2) on the values of pi_k
-    at the nodes; no moment is formed.  A node of weight 0 only carries K."""
-    prev, cur = [0] * len(nodes), [mpf(1)] * len(nodes)
-    norms, kernel = [], [0] * len(nodes)
+    at the nodes; no moment is formed.  Probes are weightless nodes."""
+    xs, n = nodes + list(probes), len(nodes)
+    prev, cur = [0] * len(xs), [mpf(1)] * len(xs)
+    norms, kernel = [], [0] * len(probes)
     for k in range(N):
         mass = [w * v * v for w, v in zip(weights, cur)]
         norms.append(mp.fsum(mass))
-        kernel = [s + v * v / abs(norms[k]) for s, v in zip(kernel, cur)]
+        kernel = [s + v * v / abs(norms[k]) for s, v in zip(kernel, cur[n:])]
         if k + 1 == N:
             return norms, kernel
         alpha = mp.fdot(mass, nodes) / norms[k]
         beta = norms[k] / norms[k - 1] if k else 0
         prev, cur = cur, [(x - alpha) * v - beta * u
-                          for x, v, u in zip(nodes, cur, prev)]
+                          for x, v, u in zip(xs, cur, prev)]
 
 
 def tau_discrete_sum(params: PhaseParams, N: int, cutoff: int,
@@ -499,15 +500,15 @@ def tau_discrete_sum(params: PhaseParams, N: int, cutoff: int,
         nodes, weights = [node * l for l in modes], [weight(l) for l in modes]
         rerun = mp.fprod(_stieltjes(nodes, weights, N)[0])
     with p.work():
-        norms, kernel = _stieltjes(nodes + [node * l for l, _ in tail],
-                                   weights + [0] * len(tail), N)
+        norms, kernel = _stieltjes(nodes, weights, N,
+                                   [node * l for l, _ in tail])
         tau, tol = mp.fprod(norms), mpf(2) ** (-p.bits // 2)
         gap = abs(tau / rerun - 1)
         if gap > tol:
             raise PrecisionExhaustedError(
                 f"rerun gap {mp.nstr(gap, 5)} > 2^(-bits/2); raise bits")
         T = mp.fsum(abs(weight(l)) * f * K
-                    for (l, f), K in zip(tail, kernel[len(modes):]))
+                    for (l, f), K in zip(tail, kernel))
         if mp.expm1(T) > tol:
             raise CutoffTooSmallError(
                 f"tail bound {mp.nstr(T, 5)}; raise cutoff above {cutoff}")

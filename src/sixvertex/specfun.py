@@ -3,12 +3,14 @@
 One memoized arithmetic-geometric mean per (k, bits), :func:`_agm`, gives
 the complete elliptic integrals K and E and the descending Landen pass
 :func:`_landen`, which yields Jacobi sn/cn/dn and, from the same
-amplitudes, Jacobi's Zeta as sum c_n sin phi_n.  Jacobi theta functions
-(with first z-derivatives) come from truncated q-series, and the production
-Zeta, :func:`jacobi_zeta`, is the logarithmic derivative of theta_4; the
-Landen Zeta, :func:`jacobi_zeta_from_E`, is its independent oracle.  All
-routines take an explicit :class:`~sixvertex.precision.Precision`; there is
-no module-level precision state.
+amplitudes, Jacobi's Zeta as sum c_n sin phi_n (:func:`jacobi_zeta`).
+Jacobi theta functions come from truncated q-series; :func:`theta_pair`
+returns theta_j and its z-derivative from one pass.  The af saddle
+geometry is built from theta quotients in the nome (see
+:mod:`sixvertex.asymptotics.geometry`), so the Landen route is its
+independent check.  All routines take an explicit
+:class:`~sixvertex.precision.Precision`; there is no module-level precision
+state.
 
 The theta series costs a few multiplications per term and no transcendental
 function after its start: the q-powers are stepped by ratios that are
@@ -131,14 +133,19 @@ def jacobi_sn_cn_dn(u, k, p: Precision):
     return tuple(rounded(x, p) for x in _landen(u, k, p)[:3])
 
 
-def _theta_pair(j, z, q, tol):
-    """theta_j(z, q) and its z-derivative, summed in one pass.
+def _theta_sums(j, z, q, p: Precision):
+    """theta_j(z, q) and its z-derivative, summed in one pass at bits + 32.
 
-    Runs at the caller's working precision and stops by the rule of
-    :func:`theta`.  Term n has magnitude 2*q**((n+1/2)**2) with m = 2n+1
-    (j=1,2, from n=0) or 2*q**(n**2) with m = 2n (j=3,4, from n=1), times
-    sin(m z) or cos(m z).
+    Stops by the rule of :func:`theta`.  Term n has magnitude
+    2*q**((n+1/2)**2) with m = 2n+1 (j=1,2, from n=0) or 2*q**(n**2) with
+    m = 2n (j=3,4, from n=1), times sin(m z) or cos(m z).
     """
+    if j not in (1, 2, 3, 4):
+        raise DomainError(f"theta index {j} not in 1..4")
+    if not (0 <= q < 1):
+        raise DomainError(f"nome q={q} outside [0, 1)")
+    tol = p.tail_tol()
+    z, q = mpf(z), mpf(q)
     q2 = q * q
     if j in (1, 2):
         n, m, val = 0, 1, mpf(0)
@@ -168,10 +175,9 @@ def _theta_pair(j, z, q, tol):
         m += 2
 
 
-def theta(j, z, q, p: Precision, derivative=0):
+def theta(j, z, q, p: Precision):
     """Jacobi theta function theta_j(z, q), j in 1..4.
 
-    derivative=1 returns the z-derivative (term-wise differentiated series).
     The series is truncated once the term bound drops below 2**(-bits-8);
     terms decay super-geometrically in n so this bound is rigorous.
 
@@ -183,48 +189,29 @@ def theta(j, z, q, p: Precision, derivative=0):
     last place of the working precision bits+32, and the rotated pair an
     absolute one of about 4n, so the sum is off by less than
     (n^2 + 8n) * 2^(-bits-32) times the sum of the term magnitudes
-    2*q^(...)*m^derivative.  That is below 2^(-bits-8) times the same sum
-    while n < 4000; n stays under 60 for q <= 0.6 at 2048 bits.
+    2*q^(...)*m^d (d = 1 for the derivative of :func:`theta_pair`).  That
+    is below 2^(-bits-8) times the same sum while n < 4000; n stays under
+    60 for q <= 0.6 at 2048 bits.
     """
-    if j not in (1, 2, 3, 4):
-        raise DomainError(f"theta index {j} not in 1..4")
-    if derivative not in (0, 1):
-        raise DomainError("derivative flag must be 0 or 1")
-    if not (0 <= q < 1):
-        raise DomainError(f"nome q={q} outside [0, 1)")
     with p.work():
-        out = _theta_pair(j, mpf(z), mpf(q), p.tail_tol())[derivative]
+        out = _theta_sums(j, z, q, p)[0]
     return rounded(out, p)
+
+
+def theta_pair(j, z, q, p: Precision):
+    """(theta_j(z, q), d/dz theta_j(z, q)) from one series pass, each
+    rounded as :func:`theta` rounds it; the derivative is the term-wise
+    differentiated series, so no finite difference enters."""
+    with p.work():
+        val, der = _theta_sums(j, z, q, p)
+    return rounded(val, p), rounded(der, p)
 
 
 def jacobi_zeta(u, k, p: Precision):
-    """Jacobi Zeta Z(u, k) = d/du log theta_4(pi*u/(2K), q).
-
-    The theta series is differentiated term by term, so no finite
-    differences enter; theta_4 and its derivative come from one pass.  K
-    and K' come from the AGM memo at bits + 16, the nome from one exp.
-    """
-    _check_modulus(k)
-    with p.work():
-        if k == 0:
-            return rounded(mpf(0), p)
-        pp = Precision(p.bits + GUARD_HALF)
-        K = elliptic_K(k, pp)
-        q = exp(-pi * elliptic_K(sqrt(1 - mpf(k) ** 2), pp) / K)
-        v = pi * mpf(u) / (2 * K)
-        # each rounded as theta() rounds it, so Z keeps its last bit
-        th, dth = (rounded(x, p) for x in _theta_pair(4, v, q, p.tail_tol()))
-        out = (pi / (2 * K)) * dth / th
-    return rounded(out, p)
-
-
-def jacobi_zeta_from_E(u, k, p: Precision):
-    """Independent route to Z(u, k): the AGM form sum c_n sin phi_n over the
-    descending Landen amplitudes (Abramowitz-Stegun 17.6), from the same
-    pass as :func:`jacobi_sn_cn_dn`.  It equals E(am u, k) - u*E/K.
-
-    Used as a cross-check oracle against :func:`jacobi_zeta`: it shares the
-    AGM with K but no theta series, nome or quadrature.
+    """Jacobi Zeta Z(u, k) = E(am u, k) - u*E/K, as the AGM form
+    sum c_n sin phi_n over the descending Landen amplitudes
+    (Abramowitz-Stegun 17.6), from the same pass as :func:`jacobi_sn_cn_dn`.
+    It shares the AGM with K but no theta series, nome or quadrature.
     """
     _check_modulus(k)
     return rounded(_landen(u, k, p)[3], p)
@@ -269,7 +256,7 @@ def _elliptic_data(gamma, p: Precision):
 @lru_cache(maxsize=64)
 def theta1_prime_zero(q, p: Precision):
     """theta_1'(0, q) = d/dz theta_1 at z = 0, memoized per (q, bits)."""
-    return theta(1, 0, q, p, derivative=1)
+    return theta_pair(1, 0, q, p)[1]
 
 
 def identity_checks(p: Precision):

@@ -15,10 +15,12 @@ below).
 
 import importlib
 
+import mpmath
 import pytest
 from mpmath import (mp, mpf, mpc, sqrt, sinh, cosh, tanh, exp, log, pi, cos,
                     sin, asin, ellipf, ellipk, ellippi, fprod, quad, re, im)
 
+from sixvertex import specfun
 from sixvertex import (DegenerateGeometryError, DomainError, Precision,
                        QuadratureError, F_modular, bulk_f, chemb_residual,
                        density_normalization, dfdzeta, endpoints,
@@ -97,6 +99,55 @@ class TestEndpoints:
             prm = _params("af", t, g, P96)
             geom = endpoints(prm, P96)
             assert abs(chemb_residual(prm, geom, P96)) < mpf("1e-8")
+
+    def test_af_endpoints_run_no_agm_and_no_landen(self, monkeypatch):
+        # once the gamma memo exists the af endpoints are theta quotients
+        # alone: no AGM build, no sn/cn/dn and no Zeta
+        endpoints(_params("af", "0.3", "1.0"), P)
+        specfun._agm.cache_clear()
+
+        def refuse(*args):
+            raise AssertionError("af endpoints entered the Landen route")
+
+        monkeypatch.setattr(specfun, "_landen", refuse)
+        for t in ("-0.7", "0.2", "0.95"):
+            geom = endpoints(_params("af", t, "1.0"), P)
+            assert geom.alpha < geom.alpha_prime < 0 < geom.beta_prime < geom.beta
+        assert specfun._agm.cache_info().misses == 0
+
+
+def _af_endpoints_oracle(prm, bits):
+    """alpha, alpha', beta', beta by mpmath's ellipk, ellipfun and ellipe at
+    4*bits, each beta' = 2KZ(u_inf) plus one term (no cancellation)."""
+    with mp.workprec(4 * bits):
+        m = mpmath.mfrom(q=exp(-pi ** 2 / (2 * prm.gamma)))
+        K = ellipk(m)
+        u = K * (1 - prm.zeta) / 2
+        sn, cn, dn = (mpmath.ellipfun(f, u, m=m) for f in ("sn", "cn", "dn"))
+        Z = mpmath.ellipe(mpmath.atan2(sn, cn), m) - u * mpmath.ellipe(m) / K
+        bp = 2 * K * Z
+        return (bp - 2 * K * sn * dn / cn, bp - 2 * K * m * sn * cn / dn, bp,
+                bp + 2 * K * cn * dn / sn)
+
+
+@pytest.mark.parametrize("zs", ["-0.95", "0.95", "-0.999999", "0.999999",
+                                "0.9999999999"])
+@pytest.mark.parametrize("gs", ["0.2", "1", "5"])
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_af_endpoints_near_band_collapse(bits, gs, zs):
+    # as |zeta| -> 1 one band shrinks to a point; each endpoint keeps
+    # 2^(-bits+8) relative accuracy
+    p = Precision(bits)
+    with mp.workprec(bits + 96):
+        t = mpf(zs) * mpf(gs)
+    prm = phase_params("af", t, gs, p)
+    geom = endpoints(prm, p)
+    got = (geom.alpha, geom.alpha_prime, geom.beta_prime, geom.beta)
+    ref = _af_endpoints_oracle(prm, bits)
+    with mp.workprec(4 * bits):
+        for name, x, r in zip(("alpha", "alpha'", "beta'", "beta"), got, ref):
+            assert abs(x - r) <= mpf(2) ** (-bits + 8) * abs(r), \
+                (name, mp.nstr(abs(x / r - 1), 5))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import pytest
 from mpmath import mp, mpf, sqrt
 
+from sixvertex import cli
 from sixvertex.cli import main, parse_grid, parse_int_range
 from sixvertex.oracle import MAX_ENUM_N
 
@@ -23,8 +24,8 @@ def test_parse_int_range():
 
 
 def test_parse_grid_counts():
-    assert len(parse_grid("-0.9..0.9..0.1", 128)) == 19
-    assert len(parse_grid("0.5", 128)) == 1
+    assert len(parse_grid("-0.9..0.9..0.1")) == 19
+    assert len(parse_grid("0.5")) == 1
 
 
 def test_exact_ice_point_golden(capsys):
@@ -189,6 +190,24 @@ def test_check_laplace(capsys):
                         "--imax", "3", "--bits", "96"], capsys)
     assert code == 0
     assert "laplace_moments_max_err" in out
+
+
+def test_check_laplace_honours_zeta(monkeypatch, capsys):
+    # t = zeta * gamma, as in the other checks; the default stays t = 0.3
+    seen = []
+
+    def spy(prm, i_max, p):
+        seen.append(prm)
+        return mpf(0)
+
+    monkeypatch.setattr(cli, "laplace_moment_check", spy)
+    base = ["check", "laplace", "--gamma", "1.25", "--bits", "96"]
+    for extra in (["--zeta", "0.4"], ["--zeta=-0.2"], []):
+        assert run(base + extra, capsys)[0] == 0
+    with mp.workprec(160):
+        for prm, t in zip(seen, ("0.5", "-0.25", "0.3")):
+            assert abs(prm.t - mpf(t)) < mpf(2) ** (-150), (prm.t, t)
+            assert abs(prm.zeta - mpf(t) / mpf("1.25")) < mpf(2) ** (-150)
 
 
 def test_check_ode_both_branches(capsys):

@@ -14,7 +14,7 @@ from mpmath import mp, mpf, sqrt, quad, sin, pi, exp
 
 from sixvertex import (DomainError, Precision, elliptic_E, elliptic_K,
                        elliptic_data_from_gamma, jacobi_sn_cn_dn, jacobi_zeta,
-                       jacobi_zeta_from_E, phase_params, theta, theta1_prime_zero)
+                       phase_params, theta, theta_pair, theta1_prime_zero)
 from sixvertex import cli, specfun
 from sixvertex.specfun import identity_checks
 
@@ -175,8 +175,9 @@ def test_theta_against_mpmath(bits, qs, zs):
     with mp.workprec(bits):
         q, z = THETA_NOMES[qs](), mpf(zs)
     for j in (1, 2, 3, 4):
-        for d in (0, 1):
-            got = theta(j, z, q, p, derivative=d)
+        pair = theta_pair(j, z, q, p)
+        assert pair[0] == theta(j, z, q, p)
+        for d, got in enumerate(pair):
             with mp.workprec(4 * bits):
                 err = abs(got - mpmath.jtheta(j, z, q, d))
             with mp.workprec(64):
@@ -211,12 +212,23 @@ def test_zeta_odd_and_periodic():
             assert abs(jacobi_zeta(u + 2 * K, k, P) - jacobi_zeta(u, k, P)) < TOL
 
 
+def _zeta_from_theta(u, k, p):
+    """Z(u, k) = (pi/2K) theta_4'(v)/theta_4(v), v = pi*u/(2K), in the nome
+    q = exp(-pi*K'/K): the log-derivative of theta_4."""
+    pp = Precision(p.bits + 16)
+    with p.work():
+        K = elliptic_K(k, pp)
+        q = exp(-pi * elliptic_K(sqrt(1 - mpf(k) ** 2), pp) / K)
+        th, dth = theta_pair(4, pi * mpf(u) / (2 * K), q, p)
+        return (pi / (2 * K)) * dth / th
+
+
 def test_zeta_two_routes_agree():
-    # theta-series route vs incomplete-second-integral route
+    # Landen route vs the log-derivative of theta_4
     with mp.workprec(300):
         for us, ks in (("0.7", "0.6"), ("1.1", "0.9")):
             u, k = mpf(us), mpf(ks)
-            d = jacobi_zeta(u, k, P) - jacobi_zeta_from_E(u, k, P)
+            d = jacobi_zeta(u, k, P) - _zeta_from_theta(u, k, P)
             assert abs(d) < mpf(2) ** (-240)
 
 
@@ -233,28 +245,24 @@ def test_landen_zeta_against_incomplete_E(ks):
             u = mpf(us) * K
             am = mpmath.asin(mpmath.ellipfun("sn", u, m=m))
             ref = mpmath.ellipe(am, m) - u * mpmath.ellipe(m) / K
-        z = jacobi_zeta_from_E(u, k, p)
+        z = jacobi_zeta(u, k, p)
         with mp.workprec(4 * bits):
             assert abs(z - ref) <= mpf(2) ** (-bits + 8) * max(1, abs(ref)), us
 
 
 def test_one_agm_per_modulus():
-    # K, E, sn/cn/dn and the Landen Zeta at one (k, bits) share one AGM
-    # build; the theta route adds K and K' at bits + 16, built once each
+    # K, E, sn/cn/dn and the Landen Zeta at one (k, bits) share one AGM build
     agm = specfun._agm
     agm.cache_clear()
     k, u, p = mpf("0.6"), mpf("0.7"), Precision(256)
 
     def landen_routes():
         return (elliptic_K(k, p), elliptic_E(k, p), jacobi_sn_cn_dn(u, k, p),
-                jacobi_zeta_from_E(u, k, p))
+                jacobi_zeta(u, k, p))
 
     for _ in range(3):
         cached = landen_routes()
     assert agm.cache_info().misses == 1
-    for _ in range(3):
-        jacobi_zeta(u, k, p)
-    assert agm.cache_info().misses == 3
     agm.cache_clear()
     assert landen_routes() == cached
     assert agm.cache_info().misses == 1
@@ -304,18 +312,25 @@ def test_identity_suite_passes(bits):
 def test_bulk_grid_builds_elliptic_data_once(monkeypatch):
     # a multi-zeta af bulk grid at one gamma: the gamma-only data is built in
     # the first row and reused; later rows evaluate only zeta-dependent theta
+    # series: theta_2 for f, theta_1..theta_3 and the theta_4 pair for the
+    # endpoints
     import sys
     from sixvertex import cli, specfun
-    original = specfun.theta
     calls = []
 
-    def counting_theta(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+        return wrapper
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("sixvertex") and getattr(module, "theta", None) is original:
-            monkeypatch.setattr(module, "theta", counting_theta)
+    for fname in ("theta", "theta_pair"):
+        original = getattr(specfun, fname)
+        wrapper = counting(original)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sixvertex") \
+                    and getattr(module, fname, None) is original:
+                monkeypatch.setattr(module, fname, wrapper)
     bits, gamma = 512, "0.9"
     cache = specfun._elliptic_data
     cache.cache_clear()
@@ -325,7 +340,7 @@ def test_bulk_grid_builds_elliptic_data_once(monkeypatch):
         before = len(calls)
         cli._bulk_row(phase_params("af", t, gamma, Precision(bits)), bits)
         per_row.append(len(calls) - before)
-    assert all(n == 1 for n in per_row[1:]), per_row
+    assert all(n == 5 for n in per_row[1:]), per_row
     assert per_row[0] > per_row[1], per_row
     info = cache.cache_info()
     assert info.misses == 1 and info.hits == 2 * len(per_row) - 1, info
