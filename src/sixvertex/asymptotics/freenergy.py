@@ -1,7 +1,8 @@
 """Bulk free energies and their analytic cross-checks.
 
-f = lim log(tau_N/c_N)/N^2 per phase; F = -log(a*b) - f is the physical free
-energy; z_limit = lim Z_N^(1/N^2) = a*b*exp(f).
+f = lim log(tau_N/c_N)/N^2 is the closed form of each phase's record in
+``exactcore.PHASE_TABLE``; F = -log(a*b) - f is the physical free energy;
+z_limit = lim Z_N^(1/N^2) = a*b*exp(f).
 
 Two series evaluations of the af free energy are provided: a small-gamma
 expansion around the d-phase form (nome q) and a low-temperature expansion in
@@ -15,15 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, cos, sin, exp, log, pi, sinh, cosh, tan
+from mpmath import mp, mpf, cos, exp, log, pi, sinh, cosh, tan
 
 from ..errors import CutoffTooSmallError, PhaseDomainError
-from ..exactcore import (PHASE_AF, PHASE_D, PHASE_FE, PhaseParams, c_factor,
-                         weights_from)
+from ..exactcore import (PHASE_AF, PHASE_D, PHASE_FE, PHASE_TABLE, PhaseParams,
+                         c_factor, t_stencil, weights_from)
 from ..precision import (Precision, bilinear_residual, central_differences,
                          rounded)
-from ..specfun import (elliptic_data_from_gamma, theta, theta1_prime_zero,
-                       theta_pair)
+from ..specfun import elliptic_data_from_gamma, theta, theta_pair
 from .geometry import endpoints
 
 
@@ -36,28 +36,11 @@ class FreeEnergy:
     z_limit: object
 
 
-def _f_value(phase, t, g, p: Precision):
-    """f(t); pass gamma as PhaseParams keeps it, the elliptic data key."""
-    if phase == PHASE_FE:
-        return -log(sinh(t - abs(g)))
-    if phase == PHASE_D:
-        return log((pi / (2 * g)) / cos(pi * t / (2 * g)))
-    pp = Precision(p.bits + 32)
-    q = elliptic_data_from_gamma(g, pp).q
-    return log((pi / (2 * g)) * theta1_prime_zero(q, pp)
-               / theta(2, pi * t / (2 * g), q, pp))
-
-
 def bulk_f(params: PhaseParams, p: Precision = Precision()) -> FreeEnergy:
-    """Phase-resolved bulk free energy.
-
-    fe: exp(f) = 1/sinh(t - |gamma|)
-    d:  exp(f) = (pi/2gamma)/cos(pi t/2gamma)
-    af: exp(f) = (pi/2gamma) * theta_1'(0)/theta_2(pi zeta/2),
-        nome q = exp(-pi^2/(2 gamma))
-    """
+    """Bulk free energy: f from the phase's record in ``PHASE_TABLE``,
+    F = -log(ab) - f and z_limit = ab exp(f)."""
     with p.work():
-        f = _f_value(params.phase, params.t, params.gamma, p)
+        f = PHASE_TABLE[params.phase].f(params.t, params.gamma, p)
         w = weights_from(params, Precision(p.bits + 32))
         ab = mpf(w.a) * mpf(w.b)
         F = -log(ab) - f
@@ -110,7 +93,7 @@ def f_small_gamma(params: PhaseParams, m_max: int, p: Precision = Precision()):
     with p.work():
         t, g = mpf(params.t), mpf(params.gamma)
         q = exp(-pi ** 2 / (2 * g))
-        total = _f_value(PHASE_D, t, g, p)
+        total = PHASE_TABLE[PHASE_D].f(t, g, p)
         for m in range(1, m_max + 1):
             total -= 2 * (mpf(1) / m) * q ** (2 * m) / (1 - q ** (2 * m)) \
                 * (1 - (-1) ** m * cos(m * pi * t / g))
@@ -151,19 +134,15 @@ def F_modular(params: PhaseParams, m_max: int, p: Precision = Precision()):
     return rounded(total, p)
 
 
-def _derivatives(fun, x0, h):
-    """f(x0), f'(x0) and f''(x0) from five samples at step h."""
-    vals = [fun(x0 + i * h) for i in (-2, -1, 0, 1, 2)]
-    return (vals[2],) + central_differences(vals, h)
-
-
 def ode_check(params: PhaseParams, p: Precision = Precision(), n: int = 6,
               theta_factor: bool = True):
     """Residual of the closed-form free energies against f'' = exp(2f).
 
-    fe/d: relative residual of f''(t) - exp(2f) with 5-point differences
-    (the closed forms satisfy the equation exactly, so the residual measures
-    the stencil).
+    Derivatives in t are 5-point differences on :func:`t_stencil`, whose
+    points all lie in the phase region.
+
+    fe/d: relative residual of f''(t) - exp(2f) (the closed forms satisfy
+    the equation exactly, so the residual measures the stencil).
 
     af: the bulk f alone does not satisfy the equation.  With
     theta_factor=True (default) the full asymptotic form
@@ -173,15 +152,15 @@ def ode_check(params: PhaseParams, p: Precision = Precision(), n: int = 6,
     ODE residual of the bulk f is returned (expected to be far above the
     fe/d residuals -- that failure is the point).
     """
+    h, stencil = t_stencil(params, p)
     pw = Precision(p.bits + 32)
-    h = mpf(2) ** (-(p.bits // 5))
     with pw.work():
-        t0, g = mpf(params.t), mpf(params.gamma)
-        f_of_t = lambda tt: _f_value(params.phase, tt, g, p)
+        g, ts = mpf(params.gamma), [mpf(prm.t) for prm in stencil]
+        f_of_t = lambda tt: PHASE_TABLE[params.phase].f(tt, g, p)
         if params.phase != PHASE_AF or not theta_factor:
-            f0, _, d2 = _derivatives(f_of_t, t0, h)
-            resid = (d2 - exp(2 * f0)) / exp(2 * f0)
-            return rounded(abs(resid), p)
+            vals = [f_of_t(tt) for tt in ts]
+            _, d2 = central_differences(vals, h)
+            return rounded(abs((d2 - exp(2 * vals[2])) / exp(2 * vals[2])), p)
 
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -191,6 +170,6 @@ def ode_check(params: PhaseParams, p: Precision = Precision(), n: int = 6,
             arg = (pi / 2) * (1 + tt / g) * N
             return c_factor(N) * exp(N * N * f_of_t(tt)) * theta(4, arg, q, pw)
 
-        a_n = [big_a(n, t0 + i * h) for i in (-2, -1, 0, 1, 2)]
-        rhs = big_a(n + 1, t0) * big_a(n - 1, t0)
+        a_n = [big_a(n, tt) for tt in ts]
+        rhs = big_a(n + 1, ts[2]) * big_a(n - 1, ts[2])
         return rounded(bilinear_residual(a_n, h, rhs), p)

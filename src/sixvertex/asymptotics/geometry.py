@@ -35,7 +35,6 @@ class SaddleGeometry:
         parameterization.
     """
 
-    phase: str
     alpha: object
     beta: object
     alpha_prime: object = None
@@ -58,14 +57,14 @@ def endpoints(params: PhaseParams, p: Precision = Precision()) -> SaddleGeometry
             t_e = mpf(params.t) - abs(mpf(params.gamma))
             alpha = cosh(t_e / 2) / sinh(t_e / 2)
             beta = tanh(t_e / 2)
-        return SaddleGeometry(PHASE_FE, rounded(alpha, p), rounded(beta, p))
+        return SaddleGeometry(rounded(alpha, p), rounded(beta, p))
 
     if params.phase == PHASE_D:
         with p.work():
             zeta = mpf(params.zeta)
             alpha = -pi * tan(pi * (1 - zeta) / 4)
             beta = pi * tan(pi * (1 + zeta) / 4)
-        return SaddleGeometry(PHASE_D, rounded(alpha, p), rounded(beta, p))
+        return SaddleGeometry(rounded(alpha, p), rounded(beta, p))
 
     # af: elliptic parameterization
     with p.work():
@@ -85,7 +84,6 @@ def endpoints(params: PhaseParams, p: Precision = Precision()) -> SaddleGeometry
         alpha_prime = beta_prime - 2 * K * ell.k * th1 * th2 / (th3 * th4)
         u_inf = K * (1 - zeta) / 2
     return SaddleGeometry(
-        PHASE_AF,
         rounded(alpha, p),
         rounded(beta, p),
         alpha_prime=rounded(alpha_prime, p),
@@ -106,7 +104,7 @@ def chemb_residual(params: PhaseParams, geom: SaddleGeometry,
     of the theta quotients that built the geometry, so a small residual
     certifies beta and beta' against it.
     """
-    if geom.phase != PHASE_AF:
+    if params.phase != PHASE_AF:
         raise PhaseDomainError("chemical-potential residual applies to af only")
     with p.work():
         pp = Precision(p.bits + 32)

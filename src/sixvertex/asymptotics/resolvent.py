@@ -172,7 +172,7 @@ def density_normalization(params: PhaseParams, geom: SaddleGeometry,
     with p.work():
         (lo, hi), sat, _ = support_and_saturation(params, geom)
         if params.phase != PHASE_AF:
-            split = sat[0][1] if params.phase == PHASE_FE else mpf(0)
+            split = sat[0][1] if sat else mpf(0)
             out, err = quad(lambda mu: _RHO[params.phase](params, geom, mu, p),
                             [lo, split, hi], error=True)
             if err > mpf(2) ** (8 - p.bits) * abs(out):
@@ -197,8 +197,9 @@ def saddle_residual(params: PhaseParams, geom: SaddleGeometry, mu,
 
     with V' = 2*t_e for fe and sign(mu) - zeta for d/af: twice the real part
     of the closed-form omega(mu + i0), which is the same on both sides of
-    the cut.  mu off the unsaturated support (the two bands in af), or at
-    d's jump mu = 0, raises DomainError.
+    the cut.  mu off the support, on a saturated interval (both from
+    :func:`support_and_saturation`) or at the jump mu = 0 of V' raises
+    DomainError.
     """
     with p.work():
         mu = mpf(mu)
@@ -206,13 +207,8 @@ def saddle_residual(params: PhaseParams, geom: SaddleGeometry, mu,
             target = 2 * (mpf(params.t) - abs(mpf(params.gamma)))
         else:
             target = (1 if mu > 0 else -1) - mpf(params.zeta)
-        if params.phase == PHASE_AF:
-            al, alp, bep, be = _af_roots(geom)
-            if not (al < mu < alp or bep < mu < be):
-                raise DomainError("mu is off the two unsaturated af bands")
-        else:
-            lo, hi = sorted((mpf(geom.alpha), mpf(geom.beta)))
-            if not lo < mu < hi or mu == 0:   # d: V' jumps at 0
-                raise DomainError("mu is off the unsaturated support")
+        (lo, hi), sat, _ = support_and_saturation(params, geom)
+        if not lo < mu < hi or mu == 0 or any(a <= mu <= b for a, b in sat):
+            raise DomainError("mu is off the unsaturated support")
         out = 2 * re(_OMEGA[params.phase](params, geom, mpc(mu))) - target
     return rounded(out, p)

@@ -33,8 +33,9 @@ from mpmath import mp, mpf
 
 from . import asymptotics
 from .errors import SixVertexError, PhaseDomainError
-from .exactcore import (PHASES, laplace_moment_check, phase_params,
-                        tau_sequence, toda_residuals, weights_from, z_from_tau)
+from .exactcore import (PHASE_AF, PHASE_D, PHASES, laplace_moment_check,
+                        phase_params, tau_sequence, toda_residuals,
+                        weights_from, z_from_tau)
 from .oracle import Z_bruteforce
 from .precision import Precision, rounded
 from .specfun import identity_checks
@@ -233,7 +234,7 @@ def cmd_fit(args):
     prm = _params_from_args(args, p)
     ns = parse_int_range(args.n)
     taus = _by_n(tau_sequence, prm, ns, p)
-    if prm.phase == "af":
+    if prm.phase == PHASE_AF:
         ratios, spread = asymptotics.subleading_AF_fit(taus, prm, p)
         rows = [(n, _fmt(r, args.bits)) for n, r in zip(ns, ratios)]
         header = ["N", "r_N"]
@@ -241,7 +242,7 @@ def cmd_fit(args):
                 "gamma": _fmt(prm.gamma, args.bits), "bits": args.bits,
                 "spread_top_half": _fmt(spread, args.bits),
                 "note": "r_N = log(tau_N/c_N) - N^2 f - log theta4((pi/2)(1+zeta)N)"}
-    elif prm.phase == "d":
+    elif prm.phase == PHASE_D:
         kappa, const, resid = asymptotics.smooth_fit_D(taus, prm, p)
         fe = asymptotics.bulk_f(prm, p)
         with p.work():
@@ -298,7 +299,7 @@ def cmd_check(args):
     elif args.target == "identities":
         checks = identity_checks(p)
     elif args.target == "laplace":
-        prm = _phase_point("d", args.gamma or "1.0", p, args.t or "0.3",
+        prm = _phase_point(PHASE_D, args.gamma, p, args.t or "0.3",
                            args.zeta)
         checks.append(("laplace_moments_max_err",
                        laplace_moment_check(prm, args.imax, p), mpf("1e-10")))
@@ -307,13 +308,13 @@ def cmd_check(args):
         ep, closed = asymptotics.dfdzeta(prm, p)
         with p.work():
             checks.append(("dfdzeta_endpoint_vs_closed", ep - closed, mpf("1e-8")))
-        if prm.phase == "af":
+        if prm.phase == PHASE_AF:
             geom = asymptotics.endpoints(prm, p)
             checks.append(("chemical_potential_residual",
                            asymptotics.chemb_residual(prm, geom, p), mpf("1e-8")))
     elif args.target == "ode":
         prm = _params_from_args(args, p)
-        if prm.phase == "af":
+        if prm.phase == PHASE_AF:
             checks.append(("toda_of_theta_ansatz",
                            asymptotics.ode_check(prm, p, n=args.ansatz_n),
                            mpf("1e-6")))

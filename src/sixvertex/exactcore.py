@@ -9,6 +9,10 @@ c_N = (prod_{n<N} n!)^2, the partition function Z_N = (a*b)^(N^2) * tau_N / c_N,
 independent cross-checks (a Stieltjes pass on the fe/af modes with an exp(T)
 tail bound and a rerun; Laplace moments in d), and the Toda residual in t.
 
+The three phases are one parameterization.  Each is a :class:`Phase` record
+in PHASE_TABLE (its region, the sign s of F'' = s F, its bulk f), and the
+weights and phi follow from s by one formula with sigma = sign(gamma - t).
+
 tau_N / c_N is a Hankel determinant of the moments phi^(n)(t) of a measure
 of one sign (phi is its Laplace transform in all three phases), hence a
 product of orthogonal-polynomial norms: one O(N^2) Chebyshev-algorithm pass
@@ -43,23 +47,22 @@ from .errors import (
     QuadratureError,
 )
 from .precision import Precision, bilinear_residual, rounded
+from .specfun import elliptic_data_from_gamma, theta, theta1_prime_zero
 
 PHASE_FE = "fe"
 PHASE_D = "d"
 PHASE_AF = "af"
-PHASES = (PHASE_FE, PHASE_D, PHASE_AF)
 
 
 @dataclass(frozen=True)
 class PhaseParams:
-    """Validated phase point.  zeta = t/gamma; delta is the anisotropy.
-    All four carry bits + 64 of the Precision they were built at."""
+    """Validated phase point.  zeta = t/gamma.  All three carry bits + 64
+    of the Precision they were built at."""
 
     phase: str
     t: object
     gamma: object
     zeta: object
-    delta: object
 
 
 @dataclass(frozen=True)
@@ -69,53 +72,73 @@ class Weights:
     c: object
 
 
+def _f_af(t, g, p: Precision):
+    """af: exp(f) = (pi/2gamma) theta_1'(0)/theta_2(pi zeta/2) in the nome q."""
+    pp = Precision(p.bits + 32)
+    q = elliptic_data_from_gamma(g, pp).q
+    return log((pi / (2 * g)) * theta1_prime_zero(q, pp)
+               / theta(2, pi * t / (2 * g), q, pp))
+
+
+@dataclass(frozen=True)
+class Phase:
+    """One phase: its region as (test(t, gamma), PhaseDomainError text)
+    pairs, checked in order; the sign s of F'' = s F (F = sinh for s = 1,
+    sin for s = -1) and of y' = s - y^2, which y = F'/F solves; and the bulk
+    free energy f(t, gamma, p) = lim log(tau_N/c_N)/N^2."""
+
+    region: tuple
+    sign: int
+    f: object
+
+
+PHASE_TABLE = {
+    PHASE_FE: Phase(
+        ((lambda t, g: abs(g) < t, "fe phase requires |gamma| < t"),),
+        1, lambda t, g, p: -log(sinh(t - abs(g)))),
+    PHASE_D: Phase(
+        ((lambda t, g: 0 < g < pi / 2, "d phase requires 0 < gamma < pi/2"),
+         (lambda t, g: abs(t) < g, "d phase requires |t| < gamma")),
+        -1, lambda t, g, p: log((pi / (2 * g)) / cos(pi * t / (2 * g)))),
+    PHASE_AF: Phase(
+        ((lambda t, g: g > 0, "af phase requires gamma > 0"),
+         (lambda t, g: abs(t) < g, "af phase requires |t| < gamma")),
+        1, _f_af),
+}
+PHASES = tuple(PHASE_TABLE)
+_KERNEL = {1: (sinh, cosh), -1: (sin, cos)}   # (F, F') by the sign s
+
+
 def phase_params(phase, t, gamma, p: Precision = Precision()) -> PhaseParams:
-    """Build a PhaseParams, enforcing the defining inequalities.
+    """Build a PhaseParams, enforcing the phase's region (:class:`Phase`).
 
     fe: |gamma| < t;  d: |t| < gamma and 0 < gamma < pi/2;  af: |t| < gamma,
-    gamma > 0.  The error message names the violated inequality.  t, gamma,
-    zeta and delta are kept to bits + 64: log tau_N depends on t in
-    proportion to N^2, so the results, not the inputs, are rounded to bits.
-    Pass decimal strings to keep t and gamma as exact as that.
+    gamma > 0.  The error message names the violated inequality.  t, gamma
+    and zeta are kept to bits + 64: log tau_N depends on t in proportion to
+    N^2, so the results, not the inputs, are rounded to bits.  Pass decimal
+    strings to keep t and gamma as exact as that.
     """
     phase = phase.lower()
     if phase not in PHASES:
         raise PhaseDomainError(f"unknown phase {phase!r}, expected one of {PHASES}")
     pw = Precision(p.bits + 64)
     with pw.work():
-        t = mpf(t)
-        gamma = mpf(gamma)
-        if phase == PHASE_FE:
-            if not abs(gamma) < t:
-                raise PhaseDomainError("fe phase requires |gamma| < t")
-            delta = cosh(2 * gamma)
-        elif phase == PHASE_D:
-            if not (0 < gamma < pi / 2):
-                raise PhaseDomainError("d phase requires 0 < gamma < pi/2")
-            if not abs(t) < gamma:
-                raise PhaseDomainError("d phase requires |t| < gamma")
-            delta = -cos(2 * gamma)
-        else:
-            if not gamma > 0:
-                raise PhaseDomainError("af phase requires gamma > 0")
-            if not abs(t) < gamma:
-                raise PhaseDomainError("af phase requires |t| < gamma")
-            delta = -cosh(2 * gamma)
+        t, gamma = mpf(t), mpf(gamma)
+        for inside, text in PHASE_TABLE[phase].region:
+            if not inside(t, gamma):
+                raise PhaseDomainError(text)
         zeta = t / gamma
     return PhaseParams(phase, rounded(t, pw), rounded(gamma, pw),
-                       rounded(zeta, pw), rounded(delta, pw))
+                       rounded(zeta, pw))
 
 
 def weights_from(params: PhaseParams, p: Precision = Precision()) -> Weights:
-    """Boltzmann weights (a, b, c) of the phase parameterization."""
+    """Boltzmann weights a, b, c = F(|gamma - t|), F(gamma + t), F(2 gamma),
+    F = sinh (fe, af) or sin (d) by the sign of :class:`Phase`."""
+    F = _KERNEL[PHASE_TABLE[params.phase].sign][0]
     with p.work():
         t, g = mpf(params.t), mpf(params.gamma)
-        if params.phase == PHASE_FE:
-            a, b, c = sinh(t - g), sinh(t + g), sinh(2 * g)
-        elif params.phase == PHASE_D:
-            a, b, c = sin(g - t), sin(g + t), sin(2 * g)
-        else:
-            a, b, c = sinh(g - t), sinh(g + t), sinh(2 * g)
+        a, b, c = F(abs(g - t)), F(g + t), F(2 * g)
     return Weights(rounded(a, p), rounded(b, p), rounded(c, p))
 
 
@@ -154,10 +177,10 @@ def _mantissa(c, steps) -> tuple:
 # ---------------------------------------------------------------------------
 # Derivatives of phi(t)
 #
-# phi is a sum of two cotangent-type terms y(x), each a solution of a
-# Riccati equation:
-#   d/dx coth x = 1 - coth^2 x      (hyperbolic phases)
-#   d/dx cot x  = -1 - cot^2 x      (trigonometric phase)
+# phi = c/(ab) is a difference of two cotangent-type terms y(x) = F'(x)/F(x),
+# each a solution of the Riccati equation of its phase's sign s:
+#   d/dx coth x = 1 - coth^2 x      (s = 1: fe, af)
+#   d/dx cot x  = -1 - cot^2 x      (s = -1: d)
 # so the Taylor coefficients of y about one point follow from y(x) alone.
 # ---------------------------------------------------------------------------
 
@@ -206,47 +229,41 @@ def phi_derivatives(params: PhaseParams, order_max: int,
     recurrence of :func:`_riccati_taylor` (O(order_max^2) integer
     products).
 
-    fe: phi = coth(t-gamma) - coth(t+gamma)
-    af: phi = coth(gamma+t) + coth(gamma-t)
-    d:  phi = cot(gamma+t) + cot(gamma-t)
-    With a_n, b_n the Taylor coefficients of the first and second term in
-    their own argument x, phi^(n)(t) = n! (a_n - b_n) in fe and
-    n! (a_n + (-1)^n b_n) in af and d, where d/dt acts on gamma - t.  The
-    radius r of each series is the distance from x to the nearest pole:
-    |x| for coth (fe: |t -+ gamma|, af: gamma +- t), and the distance of x
-    to pi*Z for cot.  Each series runs in fixed point at W = bits + 32
+    With sigma = sign(gamma - t) and y = F'/F of the phase's sign s
+    (coth in fe and af, cot in d), every phase has
+    phi = c/(ab) = sigma (y(t + gamma) - y(t - gamma)), so
+    phi^(n)(t) = sigma n! (a_n - b_n) with a_n, b_n the Taylor coefficients
+    of y at t + gamma and at t - gamma.  The radius r of each series is the
+    distance from x to the nearest pole: |x| for coth, and the distance of
+    x to pi*Z for cot.  Each series runs in fixed point at W = bits + 32
     (the scale 2^s of :func:`_riccati_taylor` is the least power of two
-    above r), n! (a_n +- b_n) is formed exactly from the two integer
-    series, and each value is rounded once to bits.  Against a 1600-bit
-    reference the fixed-point series at bits = 256 lose at most 8.4 of
-    their W bits up to order 190 and 10.0 up to order 598 (fe t=1.5
-    gamma=0.4, af and d t=0.3 gamma=1), so values are good to about
-    2^(-bits) relative.
+    above r), n! (a_n - b_n) is formed exactly from the two integer series,
+    and each value is rounded once to bits.  Against a 1600-bit reference
+    the fixed-point series at bits = 256 lose at most 8.4 of their W bits
+    up to order 190 and 10.0 up to order 598 (fe t=1.5 gamma=0.4, af and d
+    t=0.3 gamma=1), so values are good to about 2^(-bits) relative.
     """
     if order_max < 0:
         raise ValueError("order_max must be >= 0")
+    sign = PHASE_TABLE[params.phase].sign
+    F, dF = _KERNEL[sign]
     with p.work():
         W = mp.prec
         t, g = mpf(params.t), mpf(params.gamma)
-        if params.phase == PHASE_FE:
-            points, second_sign = (t - g, t + g), lambda n: -1
-        else:
-            points, second_sign = (g + t, g - t), lambda n: (-1) ** n
+        sigma = 1 if g > t else -1
         series = []
-        for x in points:
-            if params.phase == PHASE_D:
-                y0, r, sign = cos(x) / sin(x), abs(x - pi * nint(x / pi)), -1
-            else:
-                y0, r, sign = cosh(x) / sinh(x), abs(x), 1
+        for x in (t + g, t - g):
+            r = abs(x - pi * nint(x / pi)) if sign < 0 else abs(x)
             s = max(r.exp + r.bc, -W)
-            series.append((s, _riccati_taylor(y0, sign, s, order_max, W)))
+            series.append((s, _riccati_taylor(dF(x) / F(x), sign, s,
+                                              order_max, W)))
     (sa, a), (sb, b) = series
     values = []
     with mp.workprec(p.bits):
         for n in range(order_max + 1):
             ea, eb = sa * (n + 1), sb * (n + 1)
             e = max(ea, eb)
-            man = (a[n] << (e - ea)) + second_sign(n) * (b[n] << (e - eb))
+            man = sigma * ((a[n] << (e - ea)) - (b[n] << (e - eb)))
             values.append(mpf((factorial(n) * man, -e - W)))
     return DerivativeTable(params, order_max, tuple(values))
 
@@ -520,33 +537,39 @@ def tau_discrete_sum(params: PhaseParams, N: int, cutoff: int,
 # ---------------------------------------------------------------------------
 
 
-def toda_residuals(params: PhaseParams, N_max: int, p: Precision) -> list:
-    """Relative residuals of the bilinear identity for N = 1..N_max.
-
-    With s_N = tau_N / c_N the identity at fixed gamma reads
-        s_N s_N'' - (s_N')^2 = N^2 s_{N+1} s_{N-1},   N^2 = c_{N+1}c_{N-1}/c_N^2,
-    and s_0 = 1 by the tau_0 = 1 convention.  Derivatives in t use 5-point
-    central differences at step h = 2^(-bits/5), balancing h^4 truncation
-    against 2^(-bits)/h^2 roundoff; the achievable residual scale is
-    therefore ~2^(-3*bits/5).  The stencil points do not depend on N, so
-    one :func:`tau_sequence` to N_max + 1 per point serves every N.
-    """
-    if N_max < 1:
-        raise ValueError("N must be >= 1")
+def t_stencil(params: PhaseParams, p: Precision):
+    """Step h and the phase points t + i h, i = -2..2, built at bits + 64,
+    of a 5-point difference in t.  h = 2^(-bits/5) balances h^4 truncation
+    against 2^(-bits)/h^2 roundoff; near the region's boundary it is divided
+    by 4 until every point passes :func:`phase_params`, at most four tries
+    in all, then PhaseDomainError."""
     pw = Precision(p.bits + 64)
     h = mpf(2) ** (-(p.bits // 5))
     for _ in range(4):
         try:
             with pw.work():
                 offsets = [mpf(params.t) + i * h for i in (-2, -1, 0, 1, 2)]
-            stencil = [phase_params(params.phase, t_off, params.gamma, pw)
+            return h, [phase_params(params.phase, t_off, params.gamma, pw)
                        for t_off in offsets]
-            break
         except PhaseDomainError:
             h /= 4
-    else:
-        raise PhaseDomainError("differentiation stencil leaves the phase region")
+    raise PhaseDomainError("differentiation stencil leaves the phase region")
 
+
+def toda_residuals(params: PhaseParams, N_max: int, p: Precision) -> list:
+    """Relative residuals of the bilinear identity for N = 1..N_max.
+
+    With s_N = tau_N / c_N the identity at fixed gamma reads
+        s_N s_N'' - (s_N')^2 = N^2 s_{N+1} s_{N-1},   N^2 = c_{N+1}c_{N-1}/c_N^2,
+    and s_0 = 1 by the tau_0 = 1 convention.  Derivatives in t use 5-point
+    central differences on :func:`t_stencil`; the achievable residual scale
+    is therefore ~2^(-3*bits/5).  The stencil points do not depend on N, so
+    one :func:`tau_sequence` to N_max + 1 per point serves every N.
+    """
+    if N_max < 1:
+        raise ValueError("N must be >= 1")
+    pw = Precision(p.bits + 64)
+    h, stencil = t_stencil(params, p)
     with pw.work():
         # s_0 = 1 .. s_{N_max+1} at each stencil point
         seqs = [[mpf(1)] + [mpf(tv.scaled_tau)

@@ -13,6 +13,7 @@ closed theta form and the exact finite-N data confirm; see the sign tests
 below).
 """
 
+import dataclasses
 import importlib
 
 import mpmath
@@ -20,7 +21,7 @@ import pytest
 from mpmath import (mp, mpf, mpc, sqrt, sinh, cosh, tanh, exp, log, pi, cos,
                     sin, asin, ellipf, ellipk, ellippi, fprod, quad, re, im)
 
-from sixvertex import specfun
+from sixvertex import exactcore, specfun
 from sixvertex import (DegenerateGeometryError, DomainError, Precision,
                        QuadratureError, F_modular, bulk_f, chemb_residual,
                        density_normalization, dfdzeta, endpoints,
@@ -356,6 +357,25 @@ class TestOdeCheck:
         prm = _params("af", "0.2", "1.0")
         assert ode_check(prm, P, n=6) < mpf("1e-6")
 
+    @pytest.mark.parametrize("phase,t,g", [
+        ("fe", "0.4000000000000001", "0.4"), ("d", "0.9999999999999999", "1")])
+    def test_stencil_stays_in_the_phase_region(self, phase, t, g, monkeypatch):
+        # 1e-16 from the boundary, t +- 2h at h = 2^-51 leaves the region,
+        # where f is the log of a negative number (the residual would read
+        # 1.196); the stencil shrinks h instead, and the residual is its
+        # truncation error near the boundary's log singularity, 0.011
+        prm = phase_params(phase, t, g, P)
+        assert ode_check(prm, P) < mpf("0.1")
+        record, seen = exactcore.PHASE_TABLE[phase], []
+        spy = lambda tt, gg, p: seen.append(tt) or record.f(tt, gg, p)
+        monkeypatch.setitem(exactcore.PHASE_TABLE, phase,
+                            dataclasses.replace(record, f=spy))
+        ode_check(prm, P)
+        assert len(seen) == 5
+        with mp.workprec(P.bits + 64):   # abs rounds to the context
+            for tt in seen:
+                assert all(inside(tt, prm.gamma) for inside, _ in record.region)
+
 
 # ---------------------------------------------------------------------------
 # resolvent and density
@@ -480,6 +500,24 @@ class TestResolvent:
         assert abs(saddle_residual(prm, geom, mpf(1), P)) < mpf(2) ** (8 - P.bits)
         with pytest.raises(DomainError):
             saddle_residual(prm, geom, mpf("0.5"), P)    # saturated part
+
+    @pytest.mark.parametrize("phase,t,g", [
+        ("fe", "2.4", "0.4"), ("d", "0.3", "1.0"), ("af", "0.3", "1.0")])
+    def test_saddle_domain_is_the_unsaturated_support(self, phase, t, g):
+        # every end of the support and of a saturated interval is refused,
+        # and mu = 0 with it; the middle of each unsaturated piece is not
+        prm = _params(phase, t, g, P96)
+        geom = endpoints(prm, P96)
+        with P96.work():
+            (lo, hi), sat, _ = support_and_saturation(prm, geom)
+            ends = sorted({lo, hi, mpf(0)} | {x for ab in sat for x in ab})
+            mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+        for mu in ends:
+            with pytest.raises(DomainError):
+                saddle_residual(prm, geom, mu, P96)
+        for mu in mids:
+            if not any(a <= mu <= b for a, b in sat):
+                assert abs(saddle_residual(prm, geom, mu, P96)) < mpf(2) ** -80
 
 
 def _profile(prm, geom, n, p):

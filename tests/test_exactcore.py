@@ -9,7 +9,7 @@ from sixvertex import (CutoffTooSmallError, PhaseDomainError,
                        laplace_moment_check, partition_Z, phase_params,
                        phi_derivatives, tau_discrete_sum, tau_scaled,
                        tau_sequence, toda_residual, toda_residuals,
-                       weights_from)
+                       weights_from, Z_bruteforce)
 from sixvertex import exactcore
 
 P = Precision(256)
@@ -285,6 +285,28 @@ class TestTau:
             for tp, tm in zip(plus, minus):
                 assert tm.scaled_tau == (-1) ** tp.n * tp.scaled_tau
                 assert tm.log_scaled == tp.log_scaled
+
+    @pytest.mark.parametrize("t", ["0.7", "1.5", "2.4"])
+    def test_fe_negative_gamma_mirrors_every_layer(self, t):
+        # fe allows gamma < 0, and sigma = sign(gamma - t) = -1 on both
+        # sides: phi and c change sign, a and b swap, tau_N/c_N gains (-1)^N
+        plus = _params("fe", t, "0.4")
+        with mp.workprec(P.bits + 64):   # negation rounds to the context
+            minus = phase_params("fe", plus.t, -plus.gamma, P)
+            assert minus.gamma == -plus.gamma
+        table_p, table_m = (phi_derivatives(prm, 78, P).values
+                            for prm in (plus, minus))
+        wp, wm = weights_from(plus, P), weights_from(minus, P)
+        seq_p, seq_m = tau_sequence(plus, 40, P), tau_sequence(minus, 40, P)
+        with mp.workprec(P.bits):
+            assert table_m == tuple(-v for v in table_p)
+            assert (wm.a, wm.b, wm.c) == (wp.b, wp.a, -wp.c) and wm.c < 0
+            assert [tv.scaled_tau for tv in seq_m] \
+                == [(-1) ** tv.n * tv.scaled_tau for tv in seq_p]
+        for tv, z in zip(seq_m, exactcore.z_from_tau(minus, seq_m[:6], P)):
+            zbf = Z_bruteforce(tv.n, wm.a, wm.b, wm.c, P)
+            with mp.workprec(P.bits + 32):
+                assert abs((z - zbf) / zbf) < mpf(2) ** (-P.bits // 2)
 
     @pytest.mark.parametrize("phase,t,g", [
         ("fe", "1.5", "0.4"), ("d", "0.3", "1"), ("af", "0.3", "1")])
