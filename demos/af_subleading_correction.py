@@ -2,10 +2,12 @@
 
 log(tau_N/c_N) - N^2 f keeps oscillating with N; dividing out
 theta_4((pi/2)(1+zeta)N) (same nome as f) turns the sequence into one that
-settles toward a constant.  The bulk f alone fails the bilinear
-second-derivative test that the other two phases pass, while the
-theta-modulated form passes it; both facts are shown below.  The disordered
-phase carries instead a smooth power-law correction whose exponent is fitted.
+settles toward a constant.  With every t-derivative in closed form
+(f'' and (log theta_4)''), the fe and d free energies satisfy f'' = exp(2f)
+to rounding; the af bulk f alone fails it, while the theta-modulated form
+satisfies the bilinear (Toda) identity to rounding; both facts are shown
+below.  The disordered phase carries instead a smooth power-law correction
+whose exponent is fitted.
 """
 
 from mpmath import mp, mpf, pi
@@ -27,7 +29,7 @@ for n, r, rr in zip(range(2, 17), ratios, raw):
 print(f"  top-half spread: {mp.nstr(spread, 6)} (modulated)  "
       f"vs {mp.nstr(spread_raw, 6)} (control)")
 
-print("\n== bilinear (second-derivative) test ==")
+print("\n== bilinear (second-derivative) test, derivatives in closed form ==")
 p128 = Precision(128)
 for phase, t, g in (("fe", "1.5", "0.4"), ("d", "0.3", "1.0")):
     with mp.workprec(160):

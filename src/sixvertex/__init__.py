@@ -13,7 +13,7 @@ from .errors import (SixVertexError, PhaseDomainError, DomainError,
                      InsufficientDataError)
 from .specfun import (EllipticData, elliptic_K, elliptic_E,
                       elliptic_data_from_gamma, jacobi_sn_cn_dn, jacobi_zeta,
-                      theta, theta_pair, theta1_prime_zero)
+                      theta, theta_all, theta1_prime_zero)
 from .exactcore import (PhaseParams, Weights, DerivativeTable, TauValue,
                         PHASES, phase_params, weights_from, phi_derivatives,
                         tau_scaled, tau_sequence, partition_Z,
@@ -35,7 +35,7 @@ __all__ = [
     "PrecisionExhaustedError", "CutoffTooSmallError", "QuadratureError",
     "DegenerateGeometryError", "InsufficientDataError",
     "EllipticData", "elliptic_K", "elliptic_E", "elliptic_data_from_gamma",
-    "jacobi_sn_cn_dn", "jacobi_zeta", "theta", "theta_pair",
+    "jacobi_sn_cn_dn", "jacobi_zeta", "theta", "theta_all",
     "theta1_prime_zero",
     "PhaseParams", "Weights", "DerivativeTable", "TauValue", "PHASES",
     "phase_params", "weights_from", "phi_derivatives", "tau_scaled",

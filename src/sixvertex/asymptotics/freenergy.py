@@ -20,10 +20,9 @@ from mpmath import mp, mpf, cos, exp, log, pi, sinh, cosh, tan
 
 from ..errors import CutoffTooSmallError, PhaseDomainError
 from ..exactcore import (PHASE_AF, PHASE_D, PHASE_FE, PHASE_TABLE, PhaseParams,
-                         c_factor, t_stencil, weights_from)
-from ..precision import (Precision, bilinear_residual, central_differences,
-                         rounded)
-from ..specfun import elliptic_data_from_gamma, theta, theta_pair
+                         weights_from)
+from ..precision import Precision, rounded
+from ..specfun import elliptic_data_from_gamma, theta, theta_all
 from .geometry import endpoints
 
 
@@ -71,7 +70,7 @@ def dfdzeta(params: PhaseParams, p: Precision = Precision()):
                   + mpf(geom.beta_prime) + mpf(geom.beta)) / 4
             pp = Precision(p.bits + 32)
             z2 = pi * mpf(params.zeta) / 2
-            th2, dth2 = theta_pair(2, z2, geom.elliptic.q, pp)
+            th2, dth2, _ = theta_all(z2, geom.elliptic.q, pp)[1]
             closed = -(pi / 2) * dth2 / th2
     return rounded(ep, p), rounded(closed, p)
 
@@ -138,38 +137,42 @@ def ode_check(params: PhaseParams, p: Precision = Precision(), n: int = 6,
               theta_factor: bool = True):
     """Residual of the closed-form free energies against f'' = exp(2f).
 
-    Derivatives in t are 5-point differences on :func:`t_stencil`, whose
-    points all lie in the phase region.
+    f and f'' are the closed forms of the phase's record in ``PHASE_TABLE``
+    (fe: f'' = 1/sinh^2(t - |gamma|); d: (pi/2g)^2/cos^2(pi t/2g);
+    af: -(pi/2g)^2 (log theta_2)''(pi t/2g)), so no finite difference
+    enters and the residual holds at any distance from the phase boundary.
 
-    fe/d: relative residual of f''(t) - exp(2f) (the closed forms satisfy
-    the equation exactly, so the residual measures the stencil).
+    fe/d: relative residual of f''(t) - exp(2f), zero up to rounding.
 
     af: the bulk f alone does not satisfy the equation.  With
     theta_factor=True (default) the full asymptotic form
-    A_N(t) = c_N exp(N^2 f) theta_4((pi/2)(1+t/g) N) is substituted into the
-    bilinear identity A_N A_N'' - A_N'^2 = A_{N+1} A_{N-1} at size n and the
-    relative residual returned; with theta_factor=False the naive pointwise
-    ODE residual of the bulk f is returned (expected to be far above the
-    fe/d residuals -- that failure is the point).
+    A_N(t) = c_N exp(N^2 f) theta_4(u_N), u_N = (pi/2)(1+t/g) N, is
+    substituted into the bilinear identity at size n in its logarithmic
+    form (log A_N)'' = A_{N+1} A_{N-1} / A_N^2, that is
+
+        N^2 f'' + (pi N/2g)^2 (log theta_4)''(u_N)
+            = N^2 exp(2f) theta_4(u_{N+1}) theta_4(u_{N-1}) / theta_4(u_N)^2,
+
+    and the residual is returned relative to the right-hand side; with
+    theta_factor=False the naive pointwise residual of the bulk f is
+    returned (expected to be far above the fe/d residuals -- that failure
+    is the point).
     """
-    h, stencil = t_stencil(params, p)
+    record = PHASE_TABLE[params.phase]
     pw = Precision(p.bits + 32)
     with pw.work():
-        g, ts = mpf(params.gamma), [mpf(prm.t) for prm in stencil]
-        f_of_t = lambda tt: PHASE_TABLE[params.phase].f(tt, g, p)
+        t, g = mpf(params.t), mpf(params.gamma)
+        f, d2f = record.f(t, g, p), record.d2f(t, g, p)
         if params.phase != PHASE_AF or not theta_factor:
-            vals = [f_of_t(tt) for tt in ts]
-            _, d2 = central_differences(vals, h)
-            return rounded(abs((d2 - exp(2 * vals[2])) / exp(2 * vals[2])), p)
+            return rounded(abs((d2f - exp(2 * f)) / exp(2 * f)), p)
 
         if n < 1:
             raise ValueError("n must be >= 1")
         q = elliptic_data_from_gamma(g, pw).q
-
-        def big_a(N, tt):
-            arg = (pi / 2) * (1 + tt / g) * N
-            return c_factor(N) * exp(N * N * f_of_t(tt)) * theta(4, arg, q, pw)
-
-        a_n = [big_a(n, tt) for tt in ts]
-        rhs = big_a(n + 1, ts[2]) * big_a(n - 1, ts[2])
-        return rounded(bilinear_residual(a_n, h, rhs), p)
+        u = lambda N: (pi / 2) * (1 + t / g) * N
+        th4, d1, d2 = theta_all(u(n), q, pw)[3]
+        lhs = n * n * d2f + (pi * n / (2 * g)) ** 2 \
+            * (d2 / th4 - (d1 / th4) ** 2)
+        rhs = n * n * exp(2 * f) * theta(4, u(n + 1), q, pw) \
+            * theta(4, u(n - 1), q, pw) / th4 ** 2
+        return rounded(abs((lhs - rhs) / rhs), p)

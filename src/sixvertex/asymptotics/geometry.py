@@ -18,8 +18,8 @@ from mpmath import mpf, tan, tanh, cosh, sinh, pi
 from ..errors import DegenerateGeometryError, PhaseDomainError
 from ..exactcore import PHASE_AF, PHASE_D, PHASE_FE, PhaseParams
 from ..precision import Precision, rounded
-from ..specfun import (EllipticData, elliptic_data_from_gamma, jacobi_sn_cn_dn,
-                       jacobi_zeta, theta, theta_pair)
+from ..specfun import (EllipticData, _landen, elliptic_data_from_gamma,
+                       theta_all)
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,9 @@ def endpoints(params: PhaseParams, p: Precision = Precision()) -> SaddleGeometry
         ell = elliptic_data_from_gamma(params.gamma, pp)
         K, q = mpf(ell.bigK), ell.q
         v = pi * (1 - zeta) / 4
-        th1, th2, th3 = (theta(j, v, q, pp) for j in (1, 2, 3))
-        th4, dth4 = theta_pair(4, v, q, pp)
-        beta_prime = pi * dth4 / th4
+        th = theta_all(v, q, pp)
+        th1, th2, th3, th4 = (row[0] for row in th)
+        beta_prime = pi * th[3][1] / th4
         beta = beta_prime + 2 * K * ell.kprime * th2 * th3 / (th1 * th4)
         alpha = beta_prime - 2 * K * th1 * th3 / (th2 * th4)
         alpha_prime = beta_prime - 2 * K * ell.k * th1 * th2 / (th3 * th4)
@@ -99,17 +99,16 @@ def chemb_residual(params: PhaseParams, geom: SaddleGeometry,
 
         beta' - (beta - beta') * sn/(cn*dn) * Z(u_inf).
 
-    sn, cn, dn and Z come from the Landen route over the AGM of k
-    (``specfun.jacobi_sn_cn_dn`` and ``specfun.jacobi_zeta``), independent
-    of the theta quotients that built the geometry, so a small residual
-    certifies beta and beta' against it.
+    sn, cn, dn and Z come from one descending Landen pass over the AGM of k
+    (``specfun._landen``, behind ``jacobi_sn_cn_dn`` and ``jacobi_zeta``),
+    independent of the theta quotients that built the geometry, so a small
+    residual certifies beta and beta' against it.
     """
     if params.phase != PHASE_AF:
         raise PhaseDomainError("chemical-potential residual applies to af only")
     with p.work():
         pp = Precision(p.bits + 32)
-        sn, cn, dn = jacobi_sn_cn_dn(geom.u_inf, geom.elliptic.k, pp)
-        Z = jacobi_zeta(geom.u_inf, geom.elliptic.k, pp)
+        sn, cn, dn, Z = _landen(geom.u_inf, geom.elliptic.k, pp)
         resid = mpf(geom.beta_prime) - (mpf(geom.beta) - mpf(geom.beta_prime)) \
             * (sn / (cn * dn)) * Z
     return rounded(resid, p)

@@ -10,8 +10,9 @@ independent cross-checks (a Stieltjes pass on the fe/af modes with an exp(T)
 tail bound and a rerun; Laplace moments in d), and the Toda residual in t.
 
 The three phases are one parameterization.  Each is a :class:`Phase` record
-in PHASE_TABLE (its region, the sign s of F'' = s F, its bulk f), and the
-weights and phi follow from s by one formula with sigma = sign(gamma - t).
+in PHASE_TABLE (its region, the sign s of F'' = s F, its bulk f and f''),
+and the weights and phi follow from s by one formula with
+sigma = sign(gamma - t).
 
 tau_N / c_N is a Hankel determinant of the moments phi^(n)(t) of a measure
 of one sign (phi is its Laplace transform in all three phases), hence a
@@ -46,8 +47,9 @@ from .errors import (
     PrecisionExhaustedError,
     QuadratureError,
 )
-from .precision import Precision, bilinear_residual, rounded
-from .specfun import elliptic_data_from_gamma, theta, theta1_prime_zero
+from .precision import Precision, bilinear_residual, fixed, rounded, shr
+from .specfun import (elliptic_data_from_gamma, theta, theta_all,
+                      theta1_prime_zero)
 
 PHASE_FE = "fe"
 PHASE_D = "d"
@@ -80,30 +82,43 @@ def _f_af(t, g, p: Precision):
                / theta(2, pi * t / (2 * g), q, pp))
 
 
+def _d2f_af(t, g, p: Precision):
+    """af: f'' = -(pi/2gamma)^2 (log theta_2)''(pi zeta/2), from one
+    :func:`~sixvertex.specfun.theta_all` pass."""
+    pp = Precision(p.bits + 32)
+    q = elliptic_data_from_gamma(g, pp).q
+    th, d1, d2 = theta_all(pi * t / (2 * g), q, pp)[1]
+    return -(pi / (2 * g)) ** 2 * (d2 / th - (d1 / th) ** 2)
+
+
 @dataclass(frozen=True)
 class Phase:
     """One phase: its region as (test(t, gamma), PhaseDomainError text)
     pairs, checked in order; the sign s of F'' = s F (F = sinh for s = 1,
-    sin for s = -1) and of y' = s - y^2, which y = F'/F solves; and the bulk
-    free energy f(t, gamma, p) = lim log(tau_N/c_N)/N^2."""
+    sin for s = -1) and of y' = s - y^2, which y = F'/F solves; the bulk
+    free energy f(t, gamma, p) = lim log(tau_N/c_N)/N^2; and its closed-form
+    second t-derivative d2f(t, gamma, p)."""
 
     region: tuple
     sign: int
     f: object
+    d2f: object
 
 
 PHASE_TABLE = {
     PHASE_FE: Phase(
         ((lambda t, g: abs(g) < t, "fe phase requires |gamma| < t"),),
-        1, lambda t, g, p: -log(sinh(t - abs(g)))),
+        1, lambda t, g, p: -log(sinh(t - abs(g))),
+        lambda t, g, p: 1 / sinh(t - abs(g)) ** 2),
     PHASE_D: Phase(
         ((lambda t, g: 0 < g < pi / 2, "d phase requires 0 < gamma < pi/2"),
          (lambda t, g: abs(t) < g, "d phase requires |t| < gamma")),
-        -1, lambda t, g, p: log((pi / (2 * g)) / cos(pi * t / (2 * g)))),
+        -1, lambda t, g, p: log((pi / (2 * g)) / cos(pi * t / (2 * g))),
+        lambda t, g, p: (pi / (2 * g)) ** 2 / cos(pi * t / (2 * g)) ** 2),
     PHASE_AF: Phase(
         ((lambda t, g: g > 0, "af phase requires gamma > 0"),
          (lambda t, g: abs(t) < g, "af phase requires |t| < gamma")),
-        1, _f_af),
+        1, _f_af, _d2f_af),
 }
 PHASES = tuple(PHASE_TABLE)
 _KERNEL = {1: (sinh, cosh), -1: (sin, cos)}   # (F, F') by the sign s
@@ -147,22 +162,9 @@ def weights_from(params: PhaseParams, p: Precision = Precision()) -> Weights:
 #
 # The phi table and the Chebyshev pass run on Python integers, each standing
 # for an integer times a power of two fixed by its position.  Every rounding
-# is toward zero on the magnitude, so negated inputs give exactly negated
-# outputs.
+# (``precision.fixed``, ``precision.shr``) is toward zero on the magnitude,
+# so negated inputs give exactly negated outputs.
 # ---------------------------------------------------------------------------
-
-
-def _fixed(x, e: int) -> int:
-    """x * 2^e as an integer, rounded toward zero."""
-    sign, man, ex, _ = x._mpf_
-    shift = ex + e
-    man = man << shift if shift >= 0 else man >> -shift
-    return -man if sign else man
-
-
-def _shr(x: int, s: int) -> int:
-    """x / 2^s rounded toward zero (s >= 0)."""
-    return x >> s if x >= 0 else -(-x >> s)
 
 
 def _mantissa(c, steps) -> tuple:
@@ -200,7 +202,7 @@ def _riccati_taylor(y0, sign, s: int, order_max: int, W: int) -> list:
     by n + 1, both toward zero, give A_{n+1}.  2s + 2W >= 0 keeps the
     constant term an integer.
     """
-    A = [_fixed(y0, s + W)]
+    A = [fixed(y0, s + W)]
     for n in range(order_max):
         k = (n + 1) // 2
         conv = 2 * sum(map(mul, A[:k], A[n:n - k:-1]))
@@ -208,7 +210,7 @@ def _riccati_taylor(y0, sign, s: int, order_max: int, W: int) -> list:
             conv += A[n // 2] ** 2
         if n == 0:
             conv -= sign << (2 * s + 2 * W)
-        q = _shr(-conv, W)
+        q = shr(-conv, W)
         A.append(q // (n + 1) if q >= 0 else -(-q // (n + 1)))
     return A
 
@@ -316,7 +318,7 @@ def _orthogonal_norms(moments, N: int) -> list:
     E = []
     for m in moments:
         E.append(m.exp + m.bc - W if m else E[-1] if E else 0)
-    cur = [_fixed(m, -e) for m, e in zip(moments, E)]
+    cur = [fixed(m, -e) for m, e in zip(moments, E)]
     L = len(cur)
     # exponent steps to anti-diagonal d from d-1 and from d-2
     up1 = [0] + [E[d] - E[d - 1] for d in range(1, L)]
@@ -338,7 +340,7 @@ def _orthogonal_norms(moments, N: int) -> list:
         mb, eb = _mantissa(beta, up2[2 * k + 2:])
         nxt = [0] * L
         nxt[k + 1:L - k - 1] = [
-            c1 - _shr(ma * c0, da - ea) - _shr(mb * p0, db - eb)
+            c1 - shr(ma * c0, da - ea) - shr(mb * p0, db - eb)
             for c1, c0, p0, da, db in zip(cur[k + 2:L - k], cur[k + 1:],
                                           prev[k + 1:], up1[2 * k + 2:],
                                           up2[2 * k + 2:])]
@@ -539,10 +541,11 @@ def tau_discrete_sum(params: PhaseParams, N: int, cutoff: int,
 
 def t_stencil(params: PhaseParams, p: Precision):
     """Step h and the phase points t + i h, i = -2..2, built at bits + 64,
-    of a 5-point difference in t.  h = 2^(-bits/5) balances h^4 truncation
-    against 2^(-bits)/h^2 roundoff; near the region's boundary it is divided
-    by 4 until every point passes :func:`phase_params`, at most four tries
-    in all, then PhaseDomainError."""
+    of the 5-point difference in t of :func:`toda_residuals`, its only
+    user.  h = 2^(-bits/5) balances h^4 truncation against 2^(-bits)/h^2
+    roundoff; near the region's boundary it is divided by 4 until every
+    point passes :func:`phase_params`, at most four tries in all, then
+    PhaseDomainError."""
     pw = Precision(p.bits + 64)
     h = mpf(2) ** (-(p.bits // 5))
     for _ in range(4):

@@ -4,23 +4,20 @@ One memoized arithmetic-geometric mean per (k, bits), :func:`_agm`, gives
 the complete elliptic integrals K and E and the descending Landen pass
 :func:`_landen`, which yields Jacobi sn/cn/dn and, from the same
 amplitudes, Jacobi's Zeta as sum c_n sin phi_n (:func:`jacobi_zeta`).
-Jacobi theta functions come from truncated q-series; :func:`theta_pair`
-returns theta_j and its z-derivative from one pass.  The af saddle
-geometry is built from theta quotients in the nome (see
-:mod:`sixvertex.asymptotics.geometry`), so the Landen route is its
-independent check.  All routines take an explicit
-:class:`~sixvertex.precision.Precision`; there is no module-level precision
-state.
+Jacobi theta_1..theta_4 and their first two z-derivatives come from one
+truncated q-series pass on Python integers, :func:`theta_all`, the only
+theta series loop here; it costs a few integer products per term and no
+transcendental function after its start.  The af saddle geometry is built
+from theta quotients in the nome (see :mod:`sixvertex.asymptotics.geometry`),
+so the Landen route is its independent check.  All routines take an
+explicit :class:`~sixvertex.precision.Precision`; there is no module-level
+precision state.
 
-The theta series costs a few multiplications per term and no transcendental
-function after its start: the q-powers are stepped by ratios that are
-themselves stepped by q^2, and the trigonometric factors by a rotation
-through the angle 2z.  Both recurrences round once or twice per step, which
-the 32 guard bits absorb (see :func:`theta`).  Three memos live here, each
-for the life of the process: :func:`_agm` per (k, bits), the elliptic data
-of a gamma per (gamma, bits) behind :func:`elliptic_data_from_gamma`, and
-:func:`theta1_prime_zero` per (q, bits).  :func:`identity_checks` is the
-identity suite that ``sixvertex check identities`` and the tests share.
+Three memos live here, each for the life of the process: :func:`_agm` per
+(k, bits), the elliptic data of a gamma per (gamma, bits) behind
+:func:`elliptic_data_from_gamma`, and :func:`theta1_prime_zero` per
+(q, bits).  :func:`identity_checks` is the identity suite that
+``sixvertex check identities`` and the tests share.
 
 The nome convention throughout is q = exp(-pi*K'/K).  The dual nome under a
 modular transformation, exp(-2*gamma) when q = exp(-pi^2/(2*gamma)), shows up
@@ -34,10 +31,10 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from mpmath import mpf, sqrt, sin, cos, cos_sin, asin, exp, pi
+from mpmath import mp, mpf, sqrt, sin, cos, cos_sin, asin, exp, pi
 
 from .errors import DomainError
-from .precision import Precision, rounded
+from .precision import Precision, fixed, rounded, shr
 
 GUARD_HALF = 16
 
@@ -133,78 +130,74 @@ def jacobi_sn_cn_dn(u, k, p: Precision):
     return tuple(rounded(x, p) for x in _landen(u, k, p)[:3])
 
 
-def _theta_sums(j, z, q, p: Precision):
-    """theta_j(z, q) and its z-derivative, summed in one pass at bits + 32.
+def theta_all(z, q, p: Precision):
+    """(theta_j, theta_j', theta_j'') at (z, q) for j = 1..4, primes in z,
+    as a tuple indexed by j - 1, from one series pass.
 
-    Stops by the rule of :func:`theta`.  Term n has magnitude
-    2*q**((n+1/2)**2) with m = 2n+1 (j=1,2, from n=0) or 2*q**(n**2) with
-    m = 2n (j=3,4, from n=1), times sin(m z) or cos(m z).
+    Term m = 1, 2, ... is 2 q^(m^2/4) trig(m z): odd m feed theta_1 (sin,
+    sign (-1)^((m-1)/2)) and theta_2 (cos), even m theta_3 (cos) and
+    theta_4 (cos, sign (-1)^(m/2)); each derivative takes its factor m or
+    -m^2 term-wise.  The pass stops at the first m with
+    2 q^(m^2/4) m^2 < 2^(-bits-8-e) (e below), past which the terms fall
+    super-geometrically.
+
+    The sums run on Python integers at the scale 2^(-F), the fixed-point
+    idiom of :mod:`sixvertex.exactcore`: one cos_sin(z), q^(1/4) and
+    q^(1/2) at bits + 48, then q^(m^2/4) stepped by ratios q^((2m+1)/4)
+    that are stepped by q^(1/2), and (cos mz, sin mz) by a rotation through
+    z, each product shifted back toward zero.  The relative errors of the
+    mpf inputs only perturb the rotation's angle and length and the
+    q-powers' scale.  The shifts leave by term m about 2m^2 units of
+    2^(-F) on the q-power and 2m on the rotated pair, so the d-th
+    derivative is off by less than 2^(-F) sum_(m<=M) (3m^2 + 3) m^d, below
+    2^(-bits+8-e) while M < 1500 (M is 106 for q = 0.6 at 2048 bits).
+    Here e is the bits below 1 of min(|sin z|, |cos z|) plus those of q,
+    so 2^(-e) lies below the size of every row: 2 q^(1/4) |sin z| of
+    theta_1 near z = 0 (|cos z| of theta_2 near pi/2), and 8 q of theta_3''
+    and theta_4''.  F = bits + 48 + e and the stop rule's 2^(-e) make both
+    the rounding and the truncation bounds relative to that size, however
+    small q is.  Each value is rounded once to bits.
     """
-    if j not in (1, 2, 3, 4):
-        raise DomainError(f"theta index {j} not in 1..4")
     if not (0 <= q < 1):
         raise DomainError(f"nome q={q} outside [0, 1)")
-    tol = p.tail_tol()
-    z, q = mpf(z), mpf(q)
-    q2 = q * q
-    if j in (1, 2):
-        n, m, val = 0, 1, mpf(0)
-        c, s = cos_sin(z)
-        c2, s2 = c * c - s * s, 2 * c * s
-        mag, ratio = 2 * sqrt(sqrt(q)), q2         # ratios q^(2n+2)
-    else:
-        n, m, val = 1, 2, mpf(1)
-        c2, s2 = cos_sin(2 * z)
-        c, s = c2, s2
-        mag, ratio = 2 * q, q2 * q                 # ratios q^(2n+1)
-    der = mpf(0)
-    while True:
-        a = -mag if n % 2 and j in (1, 4) else mag
-        if j == 1:
-            val += a * s
-            der += m * a * c
+    with mp.workprec(p.bits + 48):
+        c, s = cos_sin(mpf(z))
+        q = mpf(q)
+        r2 = sqrt(q)
+        r = sqrt(r2)
+    e = sum(max(0, -(x.exp + x.bc))             # bits below 1
+            for x in (min(abs(c), abs(s)), q))
+    F = p.bits + 48 + e
+    C, S, R, R2 = (fixed(x, F) for x in (c, s, r, r2))
+    mag, ratio = 2 * R, shr(R * R2, F)       # 2 q^(m^2/4), q^((2m+1)/4)
+    cm, sm = C, S                            # cos mz, sin mz
+    tol = 1 << (F - p.bits - 8 - e)
+    sums = [[0, 0, 0] for _ in range(4)]
+    sums[2][0] = sums[3][0] = 1 << F
+    m = 1
+    while mag * m * m >= tol:
+        mc, ms = shr(mag * cm, F), shr(mag * sm, F)
+        cos_terms = (mc, -m * ms, -m * m * mc)
+        sign = -1 if m & 2 else 1            # (-1)^floor(m/2)
+        if m & 1:
+            rows = ((0, sign, (ms, m * mc, -m * m * ms)), (1, 1, cos_terms))
         else:
-            val += a * c
-            der -= m * a * s
-        if mag * m < tol and n >= 2:
-            return val, der
-        mag *= ratio
-        ratio *= q2
-        c, s = c * c2 - s * s2, s * c2 + c * s2
-        n += 1
-        m += 2
+            rows = ((2, 1, cos_terms), (3, sign, cos_terms))
+        for j, sg, terms in rows:
+            sums[j] = [acc + sg * t for acc, t in zip(sums[j], terms)]
+        mag, ratio = shr(mag * ratio, F), shr(ratio * R2, F)
+        cm, sm = shr(cm * C - sm * S, F), shr(sm * C + cm * S, F)
+        m += 1
+    with mp.workprec(p.bits):
+        return tuple(tuple(mpf((v, -F)) for v in row) for row in sums)
 
 
 def theta(j, z, q, p: Precision):
-    """Jacobi theta function theta_j(z, q), j in 1..4.
-
-    The series is truncated once the term bound drops below 2**(-bits-8);
-    terms decay super-geometrically in n so this bound is rigorous.
-
-    The terms come from recurrences, not from powers and sines: each
-    q-power is the previous one times a ratio q^(2n+2) (j=1,2, seeded with
-    2*q^(1/4)) or q^(2n+1) (j=3,4), and each ratio the previous one times
-    q^2; (cos mz, sin mz) is the previous pair rotated by 2z.  By term n the
-    q-power carries a relative rounding error of about n^2/2 units in the
-    last place of the working precision bits+32, and the rotated pair an
-    absolute one of about 4n, so the sum is off by less than
-    (n^2 + 8n) * 2^(-bits-32) times the sum of the term magnitudes
-    2*q^(...)*m^d (d = 1 for the derivative of :func:`theta_pair`).  That
-    is below 2^(-bits-8) times the same sum while n < 4000; n stays under
-    60 for q <= 0.6 at 2048 bits.
-    """
-    with p.work():
-        out = _theta_sums(j, z, q, p)[0]
-    return rounded(out, p)
-
-
-def theta_pair(j, z, q, p: Precision):
-    """(theta_j(z, q), d/dz theta_j(z, q)) from one series pass, each
-    rounded as :func:`theta` rounds it; the derivative is the term-wise
-    differentiated series, so no finite difference enters."""
-    with p.work():
-        val, der = _theta_sums(j, z, q, p)
-    return rounded(val, p), rounded(der, p)
+    """Jacobi theta function theta_j(z, q), j in 1..4: the value of
+    :func:`theta_all`."""
+    if j not in (1, 2, 3, 4):
+        raise DomainError(f"theta index {j} not in 1..4")
+    return theta_all(z, q, p)[j - 1][0]
 
 
 def jacobi_zeta(u, k, p: Precision):
@@ -239,9 +232,8 @@ def _elliptic_data(gamma, p: Precision):
     with p.work():
         q = exp(-pi ** 2 / (2 * gamma))
         pp = Precision(p.bits + GUARD_HALF)
-        theta3_sq = theta(3, 0, q, pp) ** 2
-        k = theta(2, 0, q, pp) ** 2 / theta3_sq
-        kprime = theta(4, 0, q, pp) ** 2 / theta3_sq
+        _, (th2, _, _), (th3, _, _), (th4, _, _) = theta_all(0, q, pp)
+        k, kprime = (th2 / th3) ** 2, (th4 / th3) ** 2
         bigK = elliptic_K(k, pp)
         bigKprime = elliptic_K(kprime, pp)
         return EllipticData(
@@ -256,7 +248,7 @@ def _elliptic_data(gamma, p: Precision):
 @lru_cache(maxsize=64)
 def theta1_prime_zero(q, p: Precision):
     """theta_1'(0, q) = d/dz theta_1 at z = 0, memoized per (q, bits)."""
-    return theta_pair(1, 0, q, p)[1]
+    return theta_all(0, q, p)[0][1]
 
 
 def identity_checks(p: Precision):
@@ -287,9 +279,9 @@ def identity_checks(p: Precision):
         # theta_1'(0) = theta_2 theta_3 theta_4 (0)
         for q in ("0.001", "0.01", "0.1", "0.3"):
             q = mpf(q)
-            lhs = theta1_prime_zero(q, p)
-            rhs = theta(2, 0, q, p) * theta(3, 0, q, p) * theta(4, 0, q, p)
-            out.append((f"theta1prime_q{q}", (lhs - rhs) / rhs, tol))
+            th = theta_all(0, q, p)
+            rhs = th[1][0] * th[2][0] * th[3][0]
+            out.append((f"theta1prime_q{q}", (th[0][1] - rhs) / rhs, tol))
         # Zeta oddness / periodicity / quarter-period zero
         k = mpf("0.6")
         K = elliptic_K(k, p)

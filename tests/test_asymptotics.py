@@ -13,7 +13,6 @@ closed theta form and the exact finite-N data confirm; see the sign tests
 below).
 """
 
-import dataclasses
 import importlib
 
 import mpmath
@@ -354,27 +353,35 @@ class TestOdeCheck:
         assert ode_check(prm, P128, theta_factor=False) > mpf("1e-2")
 
     def test_af_theta_ansatz_satisfies_bilinear(self):
+        # the theta_4-modulated form solves the Toda equation exactly: with
+        # f'' and (log theta_4)'' in closed form the residual is rounding
         prm = _params("af", "0.2", "1.0")
-        assert ode_check(prm, P, n=6) < mpf("1e-6")
+        for n in (2, 6, 20):
+            assert ode_check(prm, P, n=n) < mpf(2) ** (-P.bits + 16), n
 
     @pytest.mark.parametrize("phase,t,g", [
-        ("fe", "0.4000000000000001", "0.4"), ("d", "0.9999999999999999", "1")])
-    def test_stencil_stays_in_the_phase_region(self, phase, t, g, monkeypatch):
-        # 1e-16 from the boundary, t +- 2h at h = 2^-51 leaves the region,
-        # where f is the log of a negative number (the residual would read
-        # 1.196); the stencil shrinks h instead, and the residual is its
-        # truncation error near the boundary's log singularity, 0.011
+        ("fe", "0.4000000000000001", "0.4"),
+        ("fe", "0.40000000000000000000000000000001", "0.4"),
+        ("d", "0.9999999999999999", "1")])
+    def test_boundary_residual_is_rounding(self, phase, t, g):
+        # 1e-16 and 1e-32 from the log singularity of f at the boundary,
+        # where a finite difference in t would lose its digits or leave
+        # the phase region
         prm = phase_params(phase, t, g, P)
-        assert ode_check(prm, P) < mpf("0.1")
-        record, seen = exactcore.PHASE_TABLE[phase], []
-        spy = lambda tt, gg, p: seen.append(tt) or record.f(tt, gg, p)
-        monkeypatch.setitem(exactcore.PHASE_TABLE, phase,
-                            dataclasses.replace(record, f=spy))
-        ode_check(prm, P)
-        assert len(seen) == 5
-        with mp.workprec(P.bits + 64):   # abs rounds to the context
-            for tt in seen:
-                assert all(inside(tt, prm.gamma) for inside, _ in record.region)
+        assert ode_check(prm, P) < mpf(2) ** (-P.bits + 16)
+
+    def test_af_second_derivative_against_jtheta(self):
+        # oracle: f'' = -(pi/2g)^2 (log theta_2)''(pi t/2g) from mpmath's
+        # jtheta(2, ., q, d) at 4x the bits
+        prm = _params("af", "0.3", "1.0")
+        with mp.workprec(P.bits + 32):
+            got = exactcore.PHASE_TABLE["af"].d2f(prm.t, prm.gamma, P)
+        with mp.workprec(4 * P.bits):
+            g = prm.gamma
+            z, q = pi * prm.t / (2 * g), exp(-pi ** 2 / (2 * g))
+            th, d1, d2 = (mpmath.jtheta(2, z, q, d) for d in range(3))
+            ref = -(pi / (2 * g)) ** 2 * (d2 / th - (d1 / th) ** 2)
+            assert abs(got - ref) < mpf(2) ** (-P.bits + 8) * abs(ref)
 
 
 # ---------------------------------------------------------------------------

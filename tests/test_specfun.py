@@ -14,7 +14,7 @@ from mpmath import mp, mpf, sqrt, quad, sin, pi, exp
 
 from sixvertex import (DomainError, Precision, elliptic_E, elliptic_K,
                        elliptic_data_from_gamma, jacobi_sn_cn_dn, jacobi_zeta,
-                       phase_params, theta, theta_pair, theta1_prime_zero)
+                       phase_params, theta, theta_all, theta1_prime_zero)
 from sixvertex import cli, specfun
 from sixvertex.specfun import identity_checks
 
@@ -142,6 +142,10 @@ def test_theta2_small_nome_series():
 
 
 THETA_NOMES = {               # id -> nome, built at the test's precision
+    # term m = 3 of theta_1 lies between 2^-bits q^(1/4) and 2^-bits, at
+    # 1024 and 256 bits: a stop rule not relative to q skips it
+    "2^-476": lambda: mpf(2) ** -476,
+    "1e-36": lambda: mpf("1e-36"),
     "0.001": lambda: mpf("0.001"),
     "exp(-pi^2/2)": lambda: exp(-pi ** 2 / 2),    # the af nome at gamma=1
     "0.17": lambda: mpf("0.17"),
@@ -174,16 +178,32 @@ def test_theta_against_mpmath(bits, qs, zs):
     p = Precision(bits)
     with mp.workprec(bits):
         q, z = THETA_NOMES[qs](), mpf(zs)
+    rows = theta_all(z, q, p)
     for j in (1, 2, 3, 4):
-        pair = theta_pair(j, z, q, p)
-        assert pair[0] == theta(j, z, q, p)
-        for d, got in enumerate(pair):
+        assert rows[j - 1][0] == theta(j, z, q, p)
+        for d, got in enumerate(rows[j - 1]):
             with mp.workprec(4 * bits):
                 err = abs(got - mpmath.jtheta(j, z, q, d))
             with mp.workprec(64):
                 bound = mpf(2) ** (-bits + 8) * _theta_l1(j, z, q, d, bits) \
                     + mpf(2) ** (-4 * bits + 8)
             assert err <= bound, (j, d, mp.nstr(err, 5), mp.nstr(bound, 5))
+
+
+@pytest.mark.parametrize("qs", ["1e-40", "0.3"])
+def test_theta_relative_digits_at_zeros(qs):
+    # the integer pass adds the bits below 1 of sin z, cos z and q^(1/4) to
+    # its scale, so theta_1 near 0 and theta_2 near pi/2 keep relative digits
+    bits = 256
+    p = Precision(bits)
+    with mp.workprec(bits):
+        q = mpf(qs)
+        points = ((0, mpf("1e-30")), (0, mpf("-1e-60")), (1, pi / 2))
+    for i, z in points:
+        got = theta_all(z, q, p)[i][0]
+        with mp.workprec(4 * bits):
+            ref = mpmath.jtheta(i + 1, z, q)
+            assert abs(got / ref - 1) < mpf(2) ** (-bits + 8), (i, z)
 
 
 def test_theta_domain_errors():
@@ -219,7 +239,7 @@ def _zeta_from_theta(u, k, p):
     with p.work():
         K = elliptic_K(k, pp)
         q = exp(-pi * elliptic_K(sqrt(1 - mpf(k) ** 2), pp) / K)
-        th, dth = theta_pair(4, pi * mpf(u) / (2 * K), q, p)
+        th, dth, _ = theta_all(pi * mpf(u) / (2 * K), q, p)[3]
         return (pi / (2 * K)) * dth / th
 
 
@@ -311,26 +331,22 @@ def test_identity_suite_passes(bits):
 
 def test_bulk_grid_builds_elliptic_data_once(monkeypatch):
     # a multi-zeta af bulk grid at one gamma: the gamma-only data is built in
-    # the first row and reused; later rows evaluate only zeta-dependent theta
-    # series: theta_2 for f, theta_1..theta_3 and the theta_4 pair for the
+    # the first row and reused; later rows run only zeta-dependent theta
+    # passes: one for theta_2 in f, one for theta_1..theta_4' at the
     # endpoints
     import sys
     from sixvertex import cli, specfun
     calls = []
+    original = specfun.theta_all
 
-    def counting(original):
-        def wrapper(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
-        return wrapper
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
 
-    for fname in ("theta", "theta_pair"):
-        original = getattr(specfun, fname)
-        wrapper = counting(original)
-        for name, module in list(sys.modules.items()):
-            if name.startswith("sixvertex") \
-                    and getattr(module, fname, None) is original:
-                monkeypatch.setattr(module, fname, wrapper)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sixvertex") \
+                and getattr(module, "theta_all", None) is original:
+            monkeypatch.setattr(module, "theta_all", wrapper)
     bits, gamma = 512, "0.9"
     cache = specfun._elliptic_data
     cache.cache_clear()
@@ -340,7 +356,7 @@ def test_bulk_grid_builds_elliptic_data_once(monkeypatch):
         before = len(calls)
         cli._bulk_row(phase_params("af", t, gamma, Precision(bits)), bits)
         per_row.append(len(calls) - before)
-    assert all(n == 5 for n in per_row[1:]), per_row
+    assert all(n == 2 for n in per_row[1:]), per_row
     assert per_row[0] > per_row[1], per_row
     info = cache.cache_info()
     assert info.misses == 1 and info.hits == 2 * len(per_row) - 1, info
