@@ -26,6 +26,10 @@ def test_parse_int_range():
 def test_parse_grid_counts():
     assert len(parse_grid("-0.9..0.9..0.1")) == 19
     assert len(parse_grid("0.5")) == 1
+    assert parse_grid("0.3..0.3..0.1") == ["0.3"]
+    assert parse_grid("0.3..0.25..0.1") == ["0.3"]   # stop rounds to start
+    with pytest.raises(ValueError, match="empty grid"):
+        parse_grid("0.3..0.1..0.1")
 
 
 def test_exact_ice_point_golden(capsys):
@@ -252,7 +256,7 @@ def test_grid_points_match_values_given_alone(capsys):
 
 
 @pytest.mark.parametrize("grid", ["0.1..0.x..0.1", "nan..1..0.1",
-                                  "0.1..0.3..0", "1..2"])
+                                  "0.1..0.3..0", "1..2", "0.3..0.1..0.1"])
 def test_malformed_grid_exits_2(grid, capsys):
     code, out, err = run(["bulk", "--phase", "d", "--gamma", "1", "--zeta",
                           grid, "--bits", "96"], capsys)
