@@ -25,11 +25,11 @@ _EXPORTS = {
     "specfun": ("EllipticData", "elliptic_K", "elliptic_E",
                 "elliptic_data_from_gamma", "jacobi_sn_cn_dn", "jacobi_zeta",
                 "theta", "theta_all", "theta1_prime_zero"),
-    "exactcore": ("PhaseParams", "Weights", "DerivativeTable", "TauValue",
-                  "PHASES", "phase_params", "weights_from", "phi_derivatives",
+    "exactcore": ("PhaseParams", "Weights", "TauValue", "PHASES",
+                  "phase_params", "weights_from", "phi_derivatives",
                   "tau_scaled", "tau_sequence", "partition_Z",
-                  "tau_discrete_sum", "toda_residual", "toda_residuals",
-                  "laplace_moment_check", "c_factor"),
+                  "toda_residual", "toda_residuals", "laplace_moment_check",
+                  "c_factor"),
     "oracle": ("EnumResult", "enumerate_dwbc", "Z_bruteforce", "asm_count"),
     "asymptotics": ("SaddleGeometry", "endpoints", "chemb_residual",
                     "FreeEnergy", "bulk_f", "dfdzeta", "f_small_gamma",

@@ -85,7 +85,7 @@ def f_small_gamma(params: PhaseParams, m_max: int, p: Precision = Precision()):
     the series (the singular part of f across the d/af boundary).
 
     Raises CutoffTooSmallError when the truncated tail is not provably below
-    2^(-bits/2).
+    2^(-bits-8), so the truncated sum is good to the working precision.
     """
     if params.phase != PHASE_AF:
         raise PhaseDomainError("small-gamma expansion applies to af only")
@@ -97,9 +97,9 @@ def f_small_gamma(params: PhaseParams, m_max: int, p: Precision = Precision()):
             total -= 2 * (mpf(1) / m) * q ** (2 * m) / (1 - q ** (2 * m)) \
                 * (1 - (-1) ** m * cos(m * pi * t / g))
         tail = 4 * q ** (2 * (m_max + 1)) / ((m_max + 1) * (1 - q ** 2) ** 2)
-        if tail > mpf(2) ** (-p.bits // 2):
+        if tail > mpf(2) ** (-p.bits - 8):
             raise CutoffTooSmallError(
-                f"series tail bound {mp.nstr(tail, 5)} above 2^(-bits/2); "
+                f"series tail bound {mp.nstr(tail, 5)} above 2^(-bits-8); "
                 f"raise m_max beyond {m_max}")
         sing = -4 * exp(-pi ** 2 / g) * cos(pi * t / (2 * g)) ** 2
     return rounded(total, p), rounded(sing, p)
@@ -112,7 +112,8 @@ def F_modular(params: PhaseParams, m_max: int, p: Precision = Precision()):
         - 2 sum_{m>=1} (1/m) [exp(-2mg)/sinh(2mg)] sinh^2(m(g-t)).
 
     Converges for |t| < gamma; ideal for large gamma where the direct theta
-    series is slow.  Tail-bounded like :func:`f_small_gamma`.
+    series is slow.  Raises CutoffTooSmallError, like :func:`f_small_gamma`,
+    when the tail is not provably below 2^(-bits-8).
     """
     if params.phase != PHASE_AF:
         raise PhaseDomainError("modular-series free energy applies to af only")
@@ -126,9 +127,9 @@ def F_modular(params: PhaseParams, m_max: int, p: Precision = Precision()):
         ratio = exp(-2 * (g + t))
         tail = ratio ** (m_max + 1) \
             / ((m_max + 1) * (1 - ratio) * (1 - exp(-4 * g)))
-        if tail > mpf(2) ** (-p.bits // 2):
+        if tail > mpf(2) ** (-p.bits - 8):
             raise CutoffTooSmallError(
-                f"series tail bound {mp.nstr(tail, 5)} above 2^(-bits/2); "
+                f"series tail bound {mp.nstr(tail, 5)} above 2^(-bits-8); "
                 f"raise m_max beyond {m_max}")
     return rounded(total, p)
 

@@ -6,8 +6,9 @@ single generating function phi(t).  Everything here is exact at finite N:
 Boltzmann weights, the derivatives of phi from the Taylor recurrence of its
 Riccati equation, the scaled determinant tau_N / c_N with
 c_N = (prod_{n<N} n!)^2, the partition function Z_N = (a*b)^(N^2) * tau_N / c_N,
-independent cross-checks (a Stieltjes pass on the fe/af modes with an exp(T)
-tail bound and a rerun; Laplace moments in d), and the Toda residual in t.
+the Laplace-moment cross-check in d, and the Toda residual in t.  The
+discrete-sum route to tau_N in fe and af (a Stieltjes pass on the modes)
+is a test oracle and lives in tests/test_exactcore.py.
 
 The three phases are one parameterization.  Each is a :class:`Phase` record
 in PHASE_TABLE (its region, the sign s of F'' = s F, its bulk f and f''),
@@ -42,7 +43,6 @@ from operator import mul
 from mpmath import mp, mpf, sin, cos, sinh, cosh, exp, log, nint, pi, quad
 
 from .errors import (
-    CutoffTooSmallError,
     PhaseDomainError,
     PrecisionExhaustedError,
     QuadratureError,
@@ -215,19 +215,9 @@ def _riccati_taylor(y0, sign, s: int, order_max: int, W: int) -> list:
     return A
 
 
-@dataclass(frozen=True)
-class DerivativeTable:
-    """phi and its t-derivatives at one phase point; values[n] is
-    phi^(n)(t) rounded to the table's precision."""
-
-    params: PhaseParams
-    order_max: int
-    values: tuple
-
-
 def phi_derivatives(params: PhaseParams, order_max: int,
-                    p: Precision = Precision()) -> DerivativeTable:
-    """Derivative table of phi(t) up to order_max, from the Taylor
+                    p: Precision = Precision()) -> tuple:
+    """phi^(n)(t) for n = 0..order_max, each rounded to bits, from the Taylor
     recurrence of :func:`_riccati_taylor` (O(order_max^2) integer
     products).
 
@@ -267,7 +257,7 @@ def phi_derivatives(params: PhaseParams, order_max: int,
             e = max(ea, eb)
             man = sigma * ((a[n] << (e - ea)) - (b[n] << (e - eb)))
             values.append(mpf((factorial(n) * man, -e - W)))
-    return DerivativeTable(params, order_max, tuple(values))
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +349,9 @@ def _round(params: PhaseParams, N: int, w: int):
     at w and at w + 32, and the relative gap between the two runs per n."""
     runs = []
     for bits in (w, w + 32):
-        table = phi_derivatives(params, 2 * N - 2, Precision(bits))
+        moments = phi_derivatives(params, 2 * N - 2, Precision(bits))
         with mp.workprec(bits):
-            norms = _orthogonal_norms(list(table.values), N)
+            norms = _orthogonal_norms(moments, N)
             runs.append(list(itertools.accumulate(
                 (h / factorial(k) ** 2 for k, h in enumerate(norms)),
                 lambda a, b: a * b)))
@@ -379,9 +369,9 @@ def tau_sequence(params: PhaseParams, N_max: int,
                  p: Precision = Precision()) -> list:
     """tau_N / c_N for N = 1..N_max from one O(N_max^2) moment recurrence.
 
-    phi^(n)(t) are the moments of a measure of one sign in every phase (the
-    mode weights of :func:`tau_discrete_sum`, the density of
-    :func:`laplace_moment_check`), so tau_N / c_N = prod_{k<N} h_k / (k!)^2
+    phi^(n)(t) are the moments of a measure of one sign in every phase
+    (discrete modes at x = -2l in fe and 2l in af, the density of
+    :func:`laplace_moment_check` in d), so tau_N / c_N = prod_{k<N} h_k / (k!)^2
     with the norms h_k of :func:`_orthogonal_norms`.  The moments are
     ill-conditioned, so each result is certified by a rerun: a round runs
     the phi table and the recurrence at w and again at w + 32, and the w run
@@ -448,90 +438,6 @@ def z_from_tau(params: PhaseParams, taus, p: Precision = Precision()) -> list:
 def partition_Z(params: PhaseParams, N: int, p: Precision = Precision()):
     """Z_N = (a*b)^(N^2) * tau_N / c_N."""
     return z_from_tau(params, [tau_scaled(params, N, p)], p)[0]
-
-
-# ---------------------------------------------------------------------------
-# Discrete-sum cross-check (fe / af phases carry a discrete measure)
-# ---------------------------------------------------------------------------
-
-
-def _stieltjes(nodes, weights, N: int, probes=()):
-    """Norms h_0..h_{N-1} of the monic orthogonal polynomials pi_k of
-    sum_l weights[l] delta(x - nodes[l]), and the Christoffel-Darboux kernel
-    K(x) = sum_k pi_k(x)^2 / |h_k| at every probe, by the discretized
-    Stieltjes procedure (Gautschi 2004, section 2.2) on the values of pi_k
-    at the nodes; no moment is formed.  Probes are weightless nodes."""
-    xs, n = nodes + list(probes), len(nodes)
-    prev, cur = [0] * len(xs), [mpf(1)] * len(xs)
-    norms, kernel = [], [0] * len(probes)
-    for k in range(N):
-        mass = [w * v * v for w, v in zip(weights, cur)]
-        norms.append(mp.fsum(mass))
-        kernel = [s + v * v / abs(norms[k]) for s, v in zip(kernel, cur[n:])]
-        if k + 1 == N:
-            return norms, kernel
-        alpha = mp.fdot(mass, nodes) / norms[k]
-        beta = norms[k] / norms[k - 1] if k else 0
-        prev, cur = cur, [(x - alpha) * v - beta * u
-                          for x, v, u in zip(xs, cur, prev)]
-
-
-def tau_discrete_sum(params: PhaseParams, N: int, cutoff: int,
-                     p: Precision = Precision()):
-    """Unscaled tau_N = h_0 ... h_{N-1} from one O(cutoff * N) Stieltjes
-    pass (:func:`_stieltjes`) on the modes |l| <= cutoff of the measure with
-    moments phi^(n)(t): fe: x_l = -2l, w_l = 4 exp(-2tl) sinh(2 gamma l),
-    l >= 1; af: x_l = 2l, w_l = 2 exp(2tl - 2 gamma |l|).  No phi table.
-
-    The modes beyond the cutoff multiply tau_N by det(I + A) <= exp(T),
-    T = sum_{|l|>cutoff} |w_l| K(x_l), with K from the same pass at the near
-    tail modes.  The zeros of pi_k lie inside the node range, so at distance
-    d from it a step of 2 multiplies |w_l| K(x_l) by at most
-    r = q ((d+2)/d)^(2N-2), q the ratio of successive |w_l| (constant in af,
-    falling in fe); once r <= sqrt(q) < 1, a geometric series bounds the
-    rest.  Raises CutoffTooSmallError when exp(T) - 1, and
-    PrecisionExhaustedError when the gap to a rerun at 32 more bits,
-    exceeds 2^(-bits/2) relative; CutoffTooSmallError also below N modes.
-    """
-    if params.phase not in (PHASE_FE, PHASE_AF):
-        raise PhaseDomainError("discrete sum exists in fe/af phases only")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    t, g = params.t, params.gamma
-    if params.phase == PHASE_FE:
-        modes, node, sides = range(1, cutoff + 1), -2, (1,)
-        weight = lambda l: 4 * exp(-2 * t * l) * sinh(2 * g * l)
-    else:
-        modes, node, sides = range(-cutoff, cutoff + 1), 2, (1, -1)
-        weight = lambda l: 2 * exp(2 * t * l - 2 * g * abs(l))
-    if len(modes) < N:
-        raise CutoffTooSmallError(f"{len(modes)} modes cannot carry N={N}")
-    with p.work(64):
-        tail = []  # (l, 1) per near tail mode, (l, 1/(1 - r)) closing a side
-        for side in sides:
-            for m in itertools.count(cutoff + 1):
-                q = abs(weight(side * (m + 1)) / weight(side * m))
-                r = q * (1 + mpf(1) / (m - cutoff)) ** (2 * N - 2)
-                if r <= mp.sqrt(q) < 1:
-                    tail.append((side * m, 1 / (1 - r)))
-                    break
-                tail.append((side * m, 1))
-        nodes, weights = [node * l for l in modes], [weight(l) for l in modes]
-        rerun = mp.fprod(_stieltjes(nodes, weights, N)[0])
-    with p.work():
-        norms, kernel = _stieltjes(nodes, weights, N,
-                                   [node * l for l, _ in tail])
-        tau, tol = mp.fprod(norms), mpf(2) ** (-p.bits // 2)
-        gap = abs(tau / rerun - 1)
-        if gap > tol:
-            raise PrecisionExhaustedError(
-                f"rerun gap {mp.nstr(gap, 5)} > 2^(-bits/2); raise bits")
-        T = mp.fsum(abs(weight(l)) * f * K
-                    for (l, f), K in zip(tail, kernel))
-        if mp.expm1(T) > tol:
-            raise CutoffTooSmallError(
-                f"tail bound {mp.nstr(T, 5)}; raise cutoff above {cutoff}")
-    return rounded(tau, p)
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +514,11 @@ def laplace_moment_check(params: PhaseParams, i_max: int,
 
     The smooth measure has density sinh(lambda(pi-2 gamma)/2)/sinh(lambda pi/2);
     moments are integrated over the whole line with exponential tails and
-    compared against the exact derivative table.
+    compared against :func:`phi_derivatives`.
     """
     if params.phase != PHASE_D:
         raise PhaseDomainError("Laplace-moment check applies to the d phase")
-    table = phi_derivatives(params, i_max, Precision(p.bits + 32))
+    moments = phi_derivatives(params, i_max, Precision(p.bits + 32))
     with p.work():
         t, g = mpf(params.t), mpf(params.gamma)
 
@@ -629,5 +535,5 @@ def laplace_moment_check(params: PhaseParams, i_max: int,
                 raise QuadratureError(
                     f"moment {i} quadrature stalled at error {mp.nstr(err, 5)}",
                     achieved=err)
-            worst = max(worst, abs(val - mpf(table.values[i])))
+            worst = max(worst, abs(val - mpf(moments[i])))
     return rounded(worst, p)

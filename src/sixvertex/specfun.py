@@ -58,8 +58,13 @@ def _check_modulus(k):
 @lru_cache(maxsize=64)
 def _agm(k, p: Precision):
     """The AGM of 1 and k' = sqrt(1 - k^2), memoized per (k, bits): the
-    sequences a_0..a_N and c_0..c_N (c_0 = k, c_n = (a_(n-1) - b_(n-1))/2)
-    at bits + 32, run until c_N < 2^(-bits-16).  The only AGM loop here."""
+    sequences a_0..a_N and c_0..c_N at bits + 32, run until
+    c_N < 2^(-bits-16).  The only AGM loop here.
+
+    c_0 = k and c_n = (a_(n-1) - b_(n-1))/2, formed as c_(n-1)^2/(4 a_n)
+    (equal, since c_n^2 = a_n^2 - b_n^2): the difference cancels when k is
+    small, about 2 log2(1/k) - 32 bits of Jacobi's Zeta at 256 bits, and
+    the quotient does not."""
     with p.work():
         a, c = [mpf(1)], [k]
         b = sqrt(1 - k ** 2)
@@ -67,7 +72,7 @@ def _agm(k, p: Precision):
         while abs(c[-1]) > tol:
             a_prev = a[-1]
             a.append((a_prev + b) / 2)
-            c.append((a_prev - b) / 2)
+            c.append(c[-1] ** 2 / (4 * a[-1]))
             b = sqrt(a_prev * b)
         return tuple(a), tuple(c)
 

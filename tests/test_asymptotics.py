@@ -21,8 +21,8 @@ from mpmath import (mp, mpf, mpc, sqrt, sinh, cosh, tanh, exp, log, pi, cos,
                     sin, asin, ellipf, ellipk, ellippi, fprod, quad, re, im)
 
 from sixvertex import exactcore, specfun
-from sixvertex import (DegenerateGeometryError, DomainError, Precision,
-                       QuadratureError, F_modular, bulk_f, chemb_residual,
+from sixvertex import (CutoffTooSmallError, DegenerateGeometryError,
+                       DomainError, Precision, QuadratureError, F_modular, bulk_f, chemb_residual,
                        density_normalization, dfdzeta, endpoints,
                        f_small_gamma, ode_check, phase_params, resolvent,
                        rho_at, saddle_residual, subleading_AF_fit,
@@ -306,6 +306,24 @@ class TestExpansions:
         prm = _params("af", "1.98", "2.0", P128)   # zeta = 0.99
         F = F_modular(prm, 200, P128)
         assert mp.isfinite(F)
+
+    @pytest.mark.parametrize("series,t,g,m_min", [
+        (f_small_gamma, "0.3", "1", 18), (F_modular, "0.9", "5", 15)],
+        ids=["f_small_gamma", "F_modular"])
+    def test_series_cutoff_keeps_every_bit(self, series, t, g, m_min):
+        # a tail bound of 2^(-bits/2) accepted m_max = 10, which kept only
+        # 159.5 and 193.5 of 256 bits; 2^(-bits-8) takes m_min
+        prm = _params("af", t, g)
+        for m_max in (10, m_min - 1):
+            with pytest.raises(CutoffTooSmallError, match=r"2\^\(-bits-8\)"):
+                series(prm, m_max, P)
+        hi = Precision(1024)
+        got = series(prm, m_min, P)
+        ref = series(phase_params("af", t, g, hi), 100, hi)
+        if series is f_small_gamma:
+            got, ref = got[0], ref[0]
+        with mp.workprec(1024):
+            assert abs(got - ref) <= mpf(2) ** (-248) * abs(ref)
 
     def test_low_temperature_limit_with_log2(self):
         # corrected low-T form: F -> -(3/2)g - t^2/(2g) + log 2 + O(e^{-2g})

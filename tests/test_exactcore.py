@@ -1,16 +1,24 @@
-"""Exact finite-N machinery: weights, derivative tables, scaled Hankel
-determinants, discrete-sum and Laplace cross-checks, bilinear residuals."""
+"""Exact finite-N machinery: weights, derivatives of phi, scaled Hankel
+determinants, discrete-sum and Laplace cross-checks, bilinear residuals.
+The discrete-sum route to tau_N (:func:`tau_discrete_sum`) is a test oracle
+and lives here."""
+
+import itertools
+from fractions import Fraction
+from math import factorial
 
 import pytest
 from mpmath import mp, mpf, sqrt, sinh, cosh, sin, cos, cot, coth, pi, exp, log
 
-from sixvertex import (CutoffTooSmallError, PhaseDomainError,
+from sixvertex import (CutoffTooSmallError, PhaseDomainError, PhaseParams,
                        PrecisionExhaustedError, Precision, c_factor,
                        laplace_moment_check, partition_Z, phase_params,
-                       phi_derivatives, tau_discrete_sum, tau_scaled,
-                       tau_sequence, toda_residual, toda_residuals,
-                       weights_from, Z_bruteforce)
+                       phi_derivatives, tau_scaled, tau_sequence,
+                       toda_residual, toda_residuals, weights_from,
+                       Z_bruteforce)
 from sixvertex import exactcore
+from sixvertex.exactcore import PHASE_AF, PHASE_FE
+from sixvertex.precision import rounded
 
 P = Precision(256)
 
@@ -59,14 +67,14 @@ class TestPhiDerivatives:
         prm = _params("af", "0", "1.3")
         table = phi_derivatives(prm, 0, P)
         with mp.workprec(300):
-            assert abs(table.values[0] - 2 * cosh(mpf("1.3")) / sinh(mpf("1.3"))) \
+            assert abs(table[0] - 2 * cosh(mpf("1.3")) / sinh(mpf("1.3"))) \
                 < mpf(2) ** (-250)
 
     def test_d_value_at_origin(self):
         prm = _params("d", "0", "0.9")
         table = phi_derivatives(prm, 0, P)
         with mp.workprec(300):
-            assert abs(table.values[0] - 2 * cos(mpf("0.9")) / sin(mpf("0.9"))) \
+            assert abs(table[0] - 2 * cos(mpf("0.9")) / sin(mpf("0.9"))) \
                 < mpf(2) ** (-250)
 
     def test_closed_form_ratio(self):
@@ -77,7 +85,7 @@ class TestPhiDerivatives:
             w = weights_from(prm, P)
             table = phi_derivatives(prm, 0, P)
             with mp.workprec(300):
-                assert abs(table.values[0] - w.c / (w.a * w.b)) < mpf(2) ** (-245)
+                assert abs(table[0] - w.c / (w.a * w.b)) < mpf(2) ** (-245)
 
     @pytest.mark.parametrize("phase,t,g", [
         ("fe", "1.5", "0.4"), ("d", "0.3", "1.0"), ("af", "0.3", "1.0")])
@@ -90,8 +98,8 @@ class TestPhiDerivatives:
             h = mpf(2) ** (-60)
             plus = phi_derivatives(_params(phase, mpf(t) + h, g, hp), 0, hp)
             minus = phi_derivatives(_params(phase, mpf(t) - h, g, hp), 0, hp)
-            fd = (plus.values[0] - minus.values[0]) / (2 * h)
-            assert abs(fd - table.values[1]) < mpf(2) ** (-110)
+            fd = (plus[0] - minus[0]) / (2 * h)
+            assert abs(fd - table[1]) < mpf(2) ** (-110)
 
     @pytest.mark.parametrize("phase,t,g", [
         ("fe", "1.5", "0.4"), ("af", "0.3", "1"), ("af", "0", "1"),
@@ -112,13 +120,13 @@ class TestPhiDerivatives:
                    "af": lambda s: coth(G + s) + coth(G - s),
                    "d": lambda s: cot(G + s) + cot(G - s)}[phase]
             for n, r in enumerate(mp.diffs(phi, T, 24)):
-                v = table.values[n]
+                v = table[n]
                 if T == 0 and n % 2:
                     assert v == 0, n
                 else:
                     assert abs(v - r) <= tol * abs(r), n
         with mp.workprec(1024):
-            for n, (v, r) in enumerate(zip(table.values, ref.values)):
+            for n, (v, r) in enumerate(zip(table, ref)):
                 assert abs(v - r) <= tol * abs(r), n
 
 
@@ -128,14 +136,14 @@ class TestTau:
         tv = tau_scaled(prm, 1, P)
         table = phi_derivatives(prm, 0, P)
         with mp.workprec(300):
-            assert abs(tv.scaled_tau - table.values[0]) < mpf(2) ** (-245)
+            assert abs(tv.scaled_tau - table[0]) < mpf(2) ** (-245)
 
     def test_n2_closed_form(self):
         prm = _params("d", "0.2", "1.1")
         tv = tau_scaled(prm, 2, P)
         table = phi_derivatives(prm, 2, P)
         with mp.workprec(300):
-            expected = table.values[0] * table.values[2] - table.values[1] ** 2
+            expected = table[0] * table[2] - table[1] ** 2
             assert abs((tv.scaled_tau - expected) / expected) < mpf(2) ** (-245)
 
     def test_c_factor(self):
@@ -294,7 +302,7 @@ class TestTau:
         with mp.workprec(P.bits + 64):   # negation rounds to the context
             minus = phase_params("fe", plus.t, -plus.gamma, P)
             assert minus.gamma == -plus.gamma
-        table_p, table_m = (phi_derivatives(prm, 78, P).values
+        table_p, table_m = (phi_derivatives(prm, 78, P)
                             for prm in (plus, minus))
         wp, wm = weights_from(plus, P), weights_from(minus, P)
         seq_p, seq_m = tau_sequence(plus, 40, P), tau_sequence(minus, 40, P)
@@ -320,7 +328,7 @@ class TestTau:
         with mp.workprec(512):
             for n, tv in enumerate(seq, 1):
                 ref = mp.det(mp.matrix(
-                    [[table.values[i + k] / (mp.factorial(i) * mp.factorial(k))
+                    [[table[i + k] / (mp.factorial(i) * mp.factorial(k))
                       for k in range(n)] for i in range(n)]))
                 assert tv.n == n
                 assert abs((tv.scaled_tau - ref) / ref) < mpf(2) ** (-240)
@@ -334,9 +342,30 @@ class TestTau:
             assert abs(lo - hi) < mpf(2) ** (-64)
 
 
+def _chebyshev_exact(moments, N: int) -> list:
+    """Norms h_0..h_{N-1} of the integer moments[0..2N-2], as Fractions, by
+    the Chebyshev algorithm of :func:`exactcore._orthogonal_norms` in exact
+    rational arithmetic (0.2 s at N = 100)."""
+    L = len(moments)
+    prev, cur = [0] * L, [Fraction(m) for m in moments]
+    norms, shift, last = [], 0, 1
+    for k in range(N):
+        h = cur[k]
+        norms.append(h)
+        if k + 1 == N:
+            return norms
+        ratio = cur[k + 1] / h
+        alpha, beta = ratio - shift, h / last
+        nxt = [0] * L
+        for l in range(k + 1, L - k - 1):
+            nxt[l] = cur[l + 1] - alpha * cur[l] - beta * prev[l]
+        prev, cur, shift, last = cur, nxt, ratio, h
+
+
 class TestOrthogonalNorms:
-    # the Chebyshev pass against monic norms in closed form, N = 100; each
-    # bound is the loss of the floating-point pass it replaced plus 8 bits
+    # the Chebyshev pass against exact monic norms, N = 100; each bound is
+    # the loss of the floating-point pass it replaced (laguerre, hermite) or
+    # of the integer pass itself (laplace) plus 8 bits
     N = 100
 
     @classmethod
@@ -353,6 +382,16 @@ class TestOrthogonalNorms:
                  for n in range(2 * cls.N - 1)],
                 [mp.factorial(k) * sqrt(pi) / mpf(2) ** k for k in range(cls.N)])
 
+    @classmethod
+    def laplace(cls):
+        # weight exp(-|x|) on R, the DWBC measure at Delta = -1, u = 0:
+        # mu_n = phi^(n) = 2 n! for even n, 0 for odd n; h_k exact rationals
+        mu = [2 * factorial(n) if n % 2 == 0 else 0
+              for n in range(2 * cls.N - 1)]
+        return ([mpf(m) for m in mu],
+                [mpf(h.numerator) / h.denominator
+                 for h in _chebyshev_exact(mu, cls.N)])
+
     def moments(self, family, W):
         """The family's moments rounded to W bits and its exact norms."""
         with mp.workprec(3 * W):
@@ -361,7 +400,8 @@ class TestOrthogonalNorms:
             return [+m for m in moments], exact
 
     @pytest.mark.parametrize("family,W,bound", [
-        ("laguerre", 1024, 207 + 8), ("hermite", 512, 148 + 8)])
+        ("laguerre", 1024, 207 + 8), ("hermite", 512, 148 + 8),
+        ("laplace", 512, 114 + 8)])
     def test_closed_form_norms(self, family, W, bound):
         moments, exact = self.moments(family, W)
         with mp.workprec(W):
@@ -371,13 +411,98 @@ class TestOrthogonalNorms:
             worst = max(abs((h - e) / e) for h, e in zip(norms, exact))
             assert W + log(worst, 2) <= bound
 
-    @pytest.mark.parametrize("family,W", [("laguerre", 1024), ("hermite", 512)])
+    @pytest.mark.parametrize("family,W", [
+        ("laguerre", 1024), ("hermite", 512), ("laplace", 512)])
     def test_negated_moments_flip_every_norm(self, family, W):
         moments, _ = self.moments(family, W)
         with mp.workprec(W):
             plus = exactcore._orthogonal_norms(moments, self.N)
             minus = exactcore._orthogonal_norms([-m for m in moments], self.N)
             assert all(m == -h for h, m in zip(plus, minus))
+
+
+# ---------------------------------------------------------------------------
+# Discrete-sum cross-check (fe / af phases carry a discrete measure)
+# ---------------------------------------------------------------------------
+
+
+def _stieltjes(nodes, weights, N: int, probes=()):
+    """Norms h_0..h_{N-1} of the monic orthogonal polynomials pi_k of
+    sum_l weights[l] delta(x - nodes[l]), and the Christoffel-Darboux kernel
+    K(x) = sum_k pi_k(x)^2 / |h_k| at every probe, by the discretized
+    Stieltjes procedure (Gautschi 2004, section 2.2) on the values of pi_k
+    at the nodes; no moment is formed.  Probes are weightless nodes."""
+    xs, n = nodes + list(probes), len(nodes)
+    prev, cur = [0] * len(xs), [mpf(1)] * len(xs)
+    norms, kernel = [], [0] * len(probes)
+    for k in range(N):
+        mass = [w * v * v for w, v in zip(weights, cur)]
+        norms.append(mp.fsum(mass))
+        kernel = [s + v * v / abs(norms[k]) for s, v in zip(kernel, cur[n:])]
+        if k + 1 == N:
+            return norms, kernel
+        alpha = mp.fdot(mass, nodes) / norms[k]
+        beta = norms[k] / norms[k - 1] if k else 0
+        prev, cur = cur, [(x - alpha) * v - beta * u
+                          for x, v, u in zip(xs, cur, prev)]
+
+
+def tau_discrete_sum(params: PhaseParams, N: int, cutoff: int,
+                     p: Precision = Precision()):
+    """Unscaled tau_N = h_0 ... h_{N-1} from one O(cutoff * N) Stieltjes
+    pass (:func:`_stieltjes`) on the modes |l| <= cutoff of the measure with
+    moments phi^(n)(t): fe: x_l = -2l, w_l = 4 exp(-2tl) sinh(2 gamma l),
+    l >= 1; af: x_l = 2l, w_l = 2 exp(2tl - 2 gamma |l|).  No phi table.
+
+    The modes beyond the cutoff multiply tau_N by det(I + A) <= exp(T),
+    T = sum_{|l|>cutoff} |w_l| K(x_l), with K from the same pass at the near
+    tail modes.  The zeros of pi_k lie inside the node range, so at distance
+    d from it a step of 2 multiplies |w_l| K(x_l) by at most
+    r = q ((d+2)/d)^(2N-2), q the ratio of successive |w_l| (constant in af,
+    falling in fe); once r <= sqrt(q) < 1, a geometric series bounds the
+    rest.  Raises CutoffTooSmallError when exp(T) - 1, and
+    PrecisionExhaustedError when the gap to a rerun at 32 more bits,
+    exceeds 2^(-bits/2) relative; CutoffTooSmallError also below N modes.
+    """
+    if params.phase not in (PHASE_FE, PHASE_AF):
+        raise PhaseDomainError("discrete sum exists in fe/af phases only")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    t, g = params.t, params.gamma
+    if params.phase == PHASE_FE:
+        modes, node, sides = range(1, cutoff + 1), -2, (1,)
+        weight = lambda l: 4 * exp(-2 * t * l) * sinh(2 * g * l)
+    else:
+        modes, node, sides = range(-cutoff, cutoff + 1), 2, (1, -1)
+        weight = lambda l: 2 * exp(2 * t * l - 2 * g * abs(l))
+    if len(modes) < N:
+        raise CutoffTooSmallError(f"{len(modes)} modes cannot carry N={N}")
+    with p.work(64):
+        tail = []  # (l, 1) per near tail mode, (l, 1/(1 - r)) closing a side
+        for side in sides:
+            for m in itertools.count(cutoff + 1):
+                q = abs(weight(side * (m + 1)) / weight(side * m))
+                r = q * (1 + mpf(1) / (m - cutoff)) ** (2 * N - 2)
+                if r <= mp.sqrt(q) < 1:
+                    tail.append((side * m, 1 / (1 - r)))
+                    break
+                tail.append((side * m, 1))
+        nodes, weights = [node * l for l in modes], [weight(l) for l in modes]
+        rerun = mp.fprod(_stieltjes(nodes, weights, N)[0])
+    with p.work():
+        norms, kernel = _stieltjes(nodes, weights, N,
+                                   [node * l for l, _ in tail])
+        tau, tol = mp.fprod(norms), mpf(2) ** (-p.bits // 2)
+        gap = abs(tau / rerun - 1)
+        if gap > tol:
+            raise PrecisionExhaustedError(
+                f"rerun gap {mp.nstr(gap, 5)} > 2^(-bits/2); raise bits")
+        T = mp.fsum(abs(weight(l)) * f * K
+                    for (l, f), K in zip(tail, kernel))
+        if mp.expm1(T) > tol:
+            raise CutoffTooSmallError(
+                f"tail bound {mp.nstr(T, 5)}; raise cutoff above {cutoff}")
+    return rounded(tau, p)
 
 
 class TestDiscreteSum:
@@ -387,7 +512,7 @@ class TestDiscreteSum:
         total = tau_discrete_sum(prm, 1, 40, p)
         table = phi_derivatives(prm, 0, p)
         with mp.workprec(160):
-            assert abs((total - table.values[0]) / total) < mpf(2) ** (-60)
+            assert abs((total - table[0]) / total) < mpf(2) ** (-60)
 
     def test_af_n1_telescopes_to_phi(self):
         p = Precision(128)
@@ -395,7 +520,7 @@ class TestDiscreteSum:
         total = tau_discrete_sum(prm, 1, 70, p)
         table = phi_derivatives(prm, 0, p)
         with mp.workprec(160):
-            assert abs((total - table.values[0]) / total) < mpf(2) ** (-60)
+            assert abs((total - table[0]) / total) < mpf(2) ** (-60)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_fe_matches_determinant(self, n):
@@ -514,8 +639,8 @@ class TestLaplaceMoments:
         with mp.workprec(192):
             prm = phase_params("d", mpf(0), pi / 3, p)
             table = phi_derivatives(prm, 1, p)
-            assert abs(table.values[0] - 2 / sqrt(mpf(3))) < mpf(2) ** (-120)
-            assert abs(table.values[1]) < mpf(2) ** (-120)
+            assert abs(table[0] - 2 / sqrt(mpf(3))) < mpf(2) ** (-120)
+            assert abs(table[1]) < mpf(2) ** (-120)
         assert laplace_moment_check(prm, 1, p) < mpf("1e-20")
 
     def test_interior_point_moments(self):

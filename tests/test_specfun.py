@@ -270,6 +270,21 @@ def test_landen_zeta_against_incomplete_E(ks):
             assert abs(z - ref) <= mpf(2) ** (-bits + 8) * max(1, abs(ref)), us
 
 
+@pytest.mark.parametrize("ks", ["1e-8", "1e-12", "1e-20", "0.3", "0.9"])
+def test_agm_relative_digits_at_small_modulus(ks):
+    # Z is about k^2 sin(2u)/4 at small k: c_n = (a_(n-1) - b_(n-1))/2
+    # cancelled and lost 20, 49 and 102 of 256 bits at k = 1e-8, 1e-12, 1e-20
+    with mp.workprec(1100):
+        u, k = mpf("0.37"), mpf(ks)
+    hi = Precision(1024)
+    pairs = [(jacobi_zeta(u, k, P), jacobi_zeta(u, k, hi)),
+             (elliptic_E(k, P), elliptic_E(k, hi)),
+             *zip(jacobi_sn_cn_dn(u, k, P), jacobi_sn_cn_dn(u, k, hi))]
+    with mp.workprec(1100):
+        for got, ref in pairs:
+            assert abs(got - ref) <= TOL * abs(ref)
+
+
 def test_one_agm_per_modulus():
     # K, E, sn/cn/dn and the Landen Zeta at one (k, bits) share one AGM build
     agm = specfun._agm
