@@ -10,7 +10,6 @@ from mpmath import mp, mpf
 
 from sixvertex import (Precision, density_normalization, endpoints,
                        phase_params, rho_at)
-from sixvertex.asymptotics import support_and_saturation
 
 
 def show(phase, t, g, grid, p):
@@ -18,7 +17,7 @@ def show(phase, t, g, grid, p):
         prm = phase_params(phase, mpf(t), mpf(g), p)
     geom = endpoints(prm, p)
     with p.work():
-        (lo, hi), sat, bound = support_and_saturation(prm, geom)
+        (lo, hi), sat, bound = geom.support, geom.saturated, geom.bound
         step = (hi - lo) / grid
         mus = [lo + (i + mpf(1) / 2) * step for i in range(grid)]
     rhos = [rho_at(prm, geom, mu, p) for mu in mus]

@@ -5,7 +5,7 @@ from .geometry import SaddleGeometry, endpoints, chemb_residual
 from .freenergy import (FreeEnergy, bulk_f, dfdzeta, f_small_gamma, F_modular,
                         ode_check)
 from .resolvent import (resolvent, density_normalization, rho_at,
-                        saddle_residual, support_and_saturation)
+                        saddle_residual)
 from .fits import subleading_AF_fit, smooth_fit_D
 
 __all__ = [
@@ -13,6 +13,6 @@ __all__ = [
     "FreeEnergy", "bulk_f", "dfdzeta", "f_small_gamma", "F_modular",
     "ode_check",
     "resolvent", "density_normalization",
-    "rho_at", "saddle_residual", "support_and_saturation",
+    "rho_at", "saddle_residual",
     "subleading_AF_fit", "smooth_fit_D",
 ]

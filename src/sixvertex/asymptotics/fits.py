@@ -4,7 +4,8 @@ In the af phase log(tau_N/c_N) - N^2 f oscillates with N; dividing out the
 predicted theta_4((pi/2)(1+zeta)N) factor turns it into a sequence r_N that
 settles toward a constant.  The d phase instead carries a smooth power-law
 correction r_N ~ kappa log N + const whose exponent is reported from a fit,
-never asserted.
+never asserted.  r_N is formed at bits+32 from tau_N/c_N, not from its
+rounded log, whose absolute error grows like N^2 |f|.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def subleading_AF_fit(taus, params: PhaseParams, p: Precision = Precision(),
         zeta = mpf(params.zeta)
         ratios = []
         for tv in taus:
-            r = mpf(tv.log_scaled) - tv.n ** 2 * f
+            r = log(abs(tv.scaled_tau)) - tv.n ** 2 * f
             if subtract_theta:
                 r -= log(theta(4, (pi / 2) * (1 + zeta) * tv.n, q, pp))
             ratios.append(rounded(r, p))
@@ -71,7 +72,7 @@ def smooth_fit_D(taus, params: PhaseParams, p: Precision = Precision()):
     ns = _check_sequence(taus)
     with p.work():
         f = mpf(bulk_f(params, Precision(p.bits + 32)).f)
-        rs = [float(mpf(tv.log_scaled) - tv.n ** 2 * f) for tv in taus]
+        rs = [float(log(abs(tv.scaled_tau)) - tv.n ** 2 * f) for tv in taus]
     xs = [math.log(n) for n in ns]
     n = len(xs)
     sx, sy = sum(xs), sum(rs)

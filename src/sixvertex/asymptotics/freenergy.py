@@ -56,7 +56,7 @@ def dfdzeta(params: PhaseParams, p: Precision = Precision()):
     equal; their numerical difference is a cross-check of the geometry
     against the theta/trig derivative of f.
     """
-    geom = endpoints(params, Precision(p.bits + 32))
+    geom = endpoints(params, p)
     with p.work():
         if params.phase == PHASE_FE:
             t_e = mpf(params.t) - abs(mpf(params.gamma))

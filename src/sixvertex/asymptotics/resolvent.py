@@ -23,7 +23,7 @@ from .geometry import SaddleGeometry
 
 def _fe_omega(params, geom, z):
     t_e = mpf(params.t) - abs(mpf(params.gamma))
-    lo, hi = sorted((mpf(geom.alpha), mpf(geom.beta)))
+    lo, hi = mpf(geom.beta), mpf(geom.alpha)
     return t_e - 2 * log((sqrt(lo * (z - hi)) + sqrt(hi * (z - lo)))
                          / sqrt(z * (hi - lo)))
 
@@ -65,7 +65,7 @@ def resolvent(params: PhaseParams, geom: SaddleGeometry, z,
         if im(z) < 0:
             # real measure: omega(conj z) = conj(omega(z))
             return conj(resolvent(params, geom, conj(z), p))
-        (lo, hi), _, _ = support_and_saturation(params, geom)
+        lo, hi = geom.support
         if im(z) == 0 and lo <= re(z) <= hi:
             raise DomainError("z on the support; use rho_at for the density")
         out = _OMEGA[params.phase](params, geom, z)
@@ -73,7 +73,7 @@ def resolvent(params: PhaseParams, geom: SaddleGeometry, z,
 
 
 def _rho_fe(params, geom, mu, p):
-    lo, hi = sorted((mpf(geom.alpha), mpf(geom.beta)))
+    lo, hi = mpf(geom.beta), mpf(geom.alpha)
     if not lo < mu < hi:   # saturated on [0, lo], empty off [0, hi]
         return mpf(1 if 0 <= mu <= lo else 0)
     return 2 / pi * atan(sqrt(lo * (hi - mu) / (hi * (mu - lo))))
@@ -128,29 +128,16 @@ def rho_at(params: PhaseParams, geom: SaddleGeometry, mu,
     """Density rho(mu) = |Im omega(mu + i0)| / pi at a single point.
 
     fe and d evaluate the closed-form density.  af evaluates one incomplete
-    elliptic integral of the first kind in closed form (Carlson's R_F), good
-    to 2^(-bits+8) relative up to the roots of P; no quadrature is involved.
+    elliptic integral of the first kind in closed form (Carlson's R_F); no
+    quadrature is involved.  Near an end of the support rho goes like
+    sqrt(end - mu) and amplifies the end's rounding by about
+    end / (2 (end - mu)); with the geometry at bits+32 the result is good to
+    2^(-bits+8) relative, losing no bit, to 1e-10 of the support's width
+    from an end, and loses at most 8 bits at 1e-12.
     """
     with p.work():
         out = _RHO[params.phase](params, geom, mpf(mu), p)
     return rounded(out, p)
-
-
-def support_and_saturation(params: PhaseParams, geom: SaddleGeometry):
-    """((lo, hi), saturated intervals, bound) of the limiting density.
-
-    bound is 1 in the rescaled fe variables, 1/(2*gamma) in af, and +inf in
-    d (smooth measure, no discreteness constraint).  Evaluate in a
-    working-precision context.
-    """
-    if params.phase == PHASE_FE:
-        lo_s, hi = sorted((mpf(geom.alpha), mpf(geom.beta)))
-        return (mpf(0), hi), ((mpf(0), lo_s),), mpf(1)
-    if params.phase == PHASE_D:
-        return (mpf(geom.alpha), mpf(geom.beta)), (), mp.inf
-    return ((mpf(geom.alpha), mpf(geom.beta)),
-            ((mpf(geom.alpha_prime), mpf(geom.beta_prime)),),
-            1 / (2 * mpf(params.gamma)))
 
 
 def density_normalization(params: PhaseParams, geom: SaddleGeometry,
@@ -170,7 +157,7 @@ def density_normalization(params: PhaseParams, geom: SaddleGeometry,
     saturated core adds (beta' - alpha') / (2 gamma).
     """
     with p.work():
-        (lo, hi), sat, _ = support_and_saturation(params, geom)
+        (lo, hi), sat = geom.support, geom.saturated
         if params.phase != PHASE_AF:
             split = sat[0][1] if sat else mpf(0)
             out, err = quad(lambda mu: _RHO[params.phase](params, geom, mu, p),
@@ -197,9 +184,8 @@ def saddle_residual(params: PhaseParams, geom: SaddleGeometry, mu,
 
     with V' = 2*t_e for fe and sign(mu) - zeta for d/af: twice the real part
     of the closed-form omega(mu + i0), which is the same on both sides of
-    the cut.  mu off the support, on a saturated interval (both from
-    :func:`support_and_saturation`) or at the jump mu = 0 of V' raises
-    DomainError.
+    the cut.  mu off the support, on a saturated interval (both read from
+    the geometry) or at the jump mu = 0 of V' raises DomainError.
     """
     with p.work():
         mu = mpf(mu)
@@ -207,7 +193,7 @@ def saddle_residual(params: PhaseParams, geom: SaddleGeometry, mu,
             target = 2 * (mpf(params.t) - abs(mpf(params.gamma)))
         else:
             target = (1 if mu > 0 else -1) - mpf(params.zeta)
-        (lo, hi), sat, _ = support_and_saturation(params, geom)
+        (lo, hi), sat = geom.support, geom.saturated
         if not lo < mu < hi or mu == 0 or any(a <= mu <= b for a, b in sat):
             raise DomainError("mu is off the unsaturated support")
         out = 2 * re(_OMEGA[params.phase](params, geom, mpc(mu))) - target

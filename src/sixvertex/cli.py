@@ -209,11 +209,11 @@ def cmd_density(args):
     p = Precision(args.bits)
     prm = _params_from_args(args, p)
     geom = asymptotics.endpoints(prm, p)
+    sat, bound = geom.saturated, geom.bound
+    lo, hi = (rounded(end, p) for end in geom.support)
     with p.work():
-        (lo, hi), sat, bound = asymptotics.support_and_saturation(prm, geom)
-        lo, hi = rounded(lo, p), rounded(hi, p)
-        step = (mpf(hi) - mpf(lo)) / args.grid
-        mus = [mpf(lo) + (i + mpf(1) / 2) * step for i in range(args.grid)]
+        step = (hi - lo) / args.grid
+        mus = [lo + (i + mpf(1) / 2) * step for i in range(args.grid)]
     rhos = _map_jobs(partial(asymptotics.rho_at, prm, geom, p=p), mus, args.jobs)
     rows = [(_fmt(mu, args.bits), _fmt(rho, args.bits))
             for mu, rho in zip(mus, rhos)]
@@ -250,10 +250,11 @@ def cmd_fit(args):
                 "note": "r_N = log(tau_N/c_N) - N^2 f - log theta4((pi/2)(1+zeta)N)"}
     elif prm.phase == PHASE_D:
         kappa, const, resid = asymptotics.smooth_fit_D(taus, prm, p)
-        fe = asymptotics.bulk_f(prm, p)
+        # r_N as in asymptotics.fits, not from the rounded log_scaled
+        f = asymptotics.bulk_f(prm, Precision(p.bits + 32)).f
         with p.work():
-            rows = [(n, _fmt(mpf(tv.log_scaled) - n ** 2 * mpf(fe.f), args.bits))
-                    for n, tv in zip(ns, taus)]
+            rows = [(tv.n, _fmt(mp.log(abs(tv.scaled_tau)) - tv.n ** 2 * f,
+                                args.bits)) for tv in taus]
         header = ["N", "r_N"]
         meta = {"phase": prm.phase, "t": _fmt(prm.t, args.bits),
                 "gamma": _fmt(prm.gamma, args.bits), "bits": args.bits,

@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from mpmath import mp, mpf, sqrt, sin, cos, cos_sin, asin, exp, pi
+from mpmath import mp, mpf, agm, sqrt, sin, cos, cos_sin, asin, exp, pi
 
 from .errors import DomainError
 from .precision import Precision, fixed, rounded, shr
@@ -240,7 +240,10 @@ def _elliptic_data(gamma, p: Precision):
         _, (th2, _, _), (th3, _, _), (th4, _, _) = theta_all(0, q, pp)
         k, kprime = (th2 / th3) ** 2, (th4 / th3) ** 2
         bigK = elliptic_K(k, pp)
-        bigKprime = elliptic_K(kprime, pp)
+        with pp.work():
+            # elliptic_K(k') would form k = sqrt(1 - k'^2), losing 13, 47
+            # and 118 of 256 bits at gamma = 0.2, 0.1 and 0.05
+            bigKprime = pi / (2 * agm(1, k))
         return EllipticData(
             k=rounded(k, p),
             kprime=rounded(kprime, p),

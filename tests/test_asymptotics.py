@@ -13,6 +13,8 @@ closed theta form and the exact finite-N data confirm; see the sign tests
 below).
 """
 
+import dataclasses
+import functools
 import importlib
 
 import mpmath
@@ -27,8 +29,8 @@ from sixvertex import (CutoffTooSmallError, DegenerateGeometryError,
                        f_small_gamma, ode_check, phase_params, resolvent,
                        rho_at, saddle_residual, subleading_AF_fit,
                        smooth_fit_D, tau_sequence, weights_from)
-from sixvertex.asymptotics import support_and_saturation
 from sixvertex.asymptotics.resolvent import _af_omega
+from sixvertex.precision import rounded
 
 # the module, not the function that sixvertex.asymptotics re-exports
 _resolvent = importlib.import_module("sixvertex.asymptotics.resolvent")
@@ -99,6 +101,15 @@ class TestEndpoints:
             prm = _params("af", t, g, P96)
             geom = endpoints(prm, P96)
             assert abs(chemb_residual(prm, geom, P96)) < mpf("1e-8")
+
+    @pytest.mark.parametrize("t,g", [("0.4", "1"), ("0.08", "0.2"),
+                                     ("0.04", "0.1"), ("0.02", "0.05")])
+    def test_chemb_residual_is_relative_to_beta_prime(self, t, g):
+        # zeta = 0.4: beta' is 1.4e-42 at gamma = 0.05, where an absolute
+        # residual below 1e-97 would still hide a loss of 74 bits
+        prm = phase_params("af", t, g, P)
+        geom = endpoints(prm, P)
+        assert abs(chemb_residual(prm, geom, P)) < mpf(2) ** (-P.bits + 16)
 
     def test_af_endpoints_run_no_agm_and_no_landen(self, monkeypatch):
         # once the gamma memo exists the af endpoints are theta quotients
@@ -534,7 +545,7 @@ class TestResolvent:
         prm = _params(phase, t, g, P96)
         geom = endpoints(prm, P96)
         with P96.work():
-            (lo, hi), sat, _ = support_and_saturation(prm, geom)
+            (lo, hi), sat = geom.support, geom.saturated
             ends = sorted({lo, hi, mpf(0)} | {x for ab in sat for x in ab})
             mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
         for mu in ends:
@@ -549,7 +560,7 @@ def _profile(prm, geom, n, p):
     """rho at the n midpoints of the support, as the density command samples
     it, with the saturated intervals and the bound."""
     with p.work():
-        (lo, hi), sat, bound = support_and_saturation(prm, geom)
+        (lo, hi), sat, bound = geom.support, geom.saturated, geom.bound
         step = (hi - lo) / n
         mus = [lo + (i + mpf(1) / 2) * step for i in range(n)]
     return [(mu, rho_at(prm, geom, mu, p)) for mu in mus], sat, bound
@@ -837,6 +848,19 @@ class TestFits:
     def _taus(self, prm, p, lo, hi):
         return tau_sequence(prm, hi, p)[lo - 1:]
 
+    def test_af_ratios_keep_every_bit(self):
+        # r_N comes from tau_N/c_N, not from its rounded log, whose absolute
+        # error grows like N^2 |f|
+        ratios = {}
+        for bits in (256, 1024):
+            p = Precision(bits)
+            prm = phase_params("af", "0", "1", p)
+            ratios[bits], _ = subleading_AF_fit(self._taus(prm, p, 2, 60),
+                                                prm, p)
+        with mp.workprec(1024):
+            for r, ref in zip(ratios[256], ratios[1024]):
+                assert abs(r - ref) <= mpf(2) ** (-256 + 8) * abs(ref)
+
     def test_af_spread_shrinks_and_control_does_not(self):
         p = Precision(320)
         prm = _params("af", "0", "1.0", p)
@@ -864,3 +888,90 @@ class TestFits:
         taus = self._taus(prm, p, 2, 4)
         with pytest.raises(Exception):
             subleading_AF_fit(taus, prm, p)
+
+
+# ---------------------------------------------------------------------------
+# the accuracy contract, swept
+# ---------------------------------------------------------------------------
+
+# Each value at 256 bits against the same call at 1024 bits, from the same
+# decimal strings (and the same dyadic mu and z), to 2^(-bits+8) relative;
+# density_normalization against its exact value 1, which a 1024-bit
+# quadrature in fe and d takes about 9 s to confirm.  Left out, because
+# their value is a rounding error with no digits to compare:
+# saddle_residual, chemb_residual and ode_check.
+SWEEP = [("fe", "1.5", "0.4"), ("fe", "0.400001", "0.4"),
+         ("fe", "2.4", "-0.4"), ("fe", "3", "1.2"),
+         ("d", "0.3", "1.0"), ("d", "0.95", "1.0"), ("d", "-0.95", "1.0"),
+         ("d", "-0.2", "0.5"),
+         ("af", "0.3", "1.0"), ("af", "0.95", "1.0"), ("af", "-0.95", "1.0"),
+         ("af", "0.04", "0.1"), ("af", "1.5", "5")]
+SWEEP_BITS, SWEEP_REF = Precision(256), Precision(1024)
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_point(phase, t, g, p):
+    prm = phase_params(phase, t, g, p)
+    return prm, endpoints(prm, p)
+
+
+def _flat(x):
+    """The numbers in a record, tuple or list, nested, Nones dropped."""
+    if dataclasses.is_dataclass(x):
+        x = dataclasses.astuple(x)
+    if isinstance(x, (tuple, list)):
+        for y in x:
+            yield from _flat(y)
+    elif x is not None:
+        yield x
+
+
+def _assert_contract(got, ref, what, bits=SWEEP_BITS.bits):
+    got, ref = list(_flat(got)), list(_flat(ref))
+    assert len(got) == len(ref), what
+    with mp.workprec(4 * bits):
+        for x, r in zip(got, ref):
+            if r == 0 or r == mp.inf:
+                assert x == r, what
+            else:
+                assert abs(x - r) <= mpf(2) ** (-bits + 8) * abs(r), \
+                    (what, mp.nstr(abs(x / r - 1), 5))
+
+
+@pytest.mark.parametrize("phase,t,g", SWEEP)
+def test_contract_sweep(phase, t, g):
+    _, ref_geom = _sweep_point(phase, t, g, SWEEP_REF)
+    with mp.workprec(SWEEP_REF.bits):
+        lo, hi = ref_geom.support
+        w = hi - lo
+        mu = rounded(lo + w / 3, SWEEP_BITS)
+        z = mpc(mu, rounded(w / 5, SWEEP_BITS))
+    vals = {}
+    for p in (SWEEP_BITS, SWEEP_REF):
+        prm, geom = _sweep_point(phase, t, g, p)
+        vals[p] = {"bulk_f": bulk_f(prm, p), "endpoints": geom,
+                   "dfdzeta": dfdzeta(prm, p),
+                   "rho_at": rho_at(prm, geom, mu, p),
+                   "resolvent": resolvent(prm, geom, z, p)}
+    for name in vals[SWEEP_REF]:
+        _assert_contract(vals[SWEEP_BITS][name], vals[SWEEP_REF][name], name)
+    prm, geom = _sweep_point(phase, t, g, SWEEP_BITS)
+    _assert_contract(density_normalization(prm, geom, SWEEP_BITS), mpf(1),
+                     "density_normalization")
+
+
+@pytest.mark.parametrize("phase,t,g", SWEEP)
+def test_rho_at_keeps_every_bit_near_the_support_ends(phase, t, g):
+    # rho goes like sqrt(end - mu), so it amplifies the rounding of the end
+    # by about end / (2 (end - mu)): the geometry's bits+32 keep every bit
+    # to 1e-10 of the support's width from an end, and 2^(-bits+8) at 1e-12
+    _, ref_geom = _sweep_point(phase, t, g, SWEEP_REF)
+    with mp.workprec(SWEEP_REF.bits):
+        lo, hi = ref_geom.support
+        w = hi - lo
+        mus = [rounded(end + sign * mpf(delta) * w, SWEEP_BITS)
+               for end, sign in ((lo, 1), (hi, -1))
+               for delta in ("1e-4", "1e-8", "1e-12")]
+    rhos = {p: [rho_at(*_sweep_point(phase, t, g, p), mu, p) for mu in mus]
+            for p in (SWEEP_BITS, SWEEP_REF)}
+    _assert_contract(rhos[SWEEP_BITS], rhos[SWEEP_REF], "rho_at")

@@ -1,6 +1,9 @@
 """Command-line front end: golden values, determinism, exit codes, formats."""
 
+import csv
+import io
 import json
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf, sqrt
@@ -8,6 +11,9 @@ from mpmath import mp, mpf, sqrt
 from sixvertex import cli
 from sixvertex.cli import main, parse_grid, parse_int_range
 from sixvertex.oracle import MAX_ENUM_N
+
+PERFBENCH_REFERENCE = (Path(__file__).resolve().parent.parent / "perfbench"
+                       / "reference.json")
 
 
 def run(argv, capsys):
@@ -231,6 +237,27 @@ def test_check_derivative_af(capsys):
                         "1", "--zeta", "0.4", "--bits", "96"], capsys)
     assert code == 0
     assert "chemical_potential_residual" in out
+
+
+def _reference_check_commands():
+    with open(PERFBENCH_REFERENCE, encoding="utf-8") as fh:
+        commands = json.load(fh)["commands"]
+    return {command: entry["rows"] for command, entry in commands.items()
+            if command.startswith("check ")}
+
+
+@pytest.mark.parametrize("command,rows", [
+    pytest.param(command, rows, id=command)
+    for command, rows in sorted(_reference_check_commands().items())])
+def test_check_rows_match_perfbench_reference(command, rows, capsys):
+    # the benchmark compares a check's name, tolerance and status as exact
+    # text (its measured value by digits), so a renamed check, a changed
+    # tolerance or a failing row shows here first
+    code, out, _ = run(command.split(), capsys)
+    assert code == 0
+    got = list(csv.reader(io.StringIO(out)))[1:]
+    assert [(c, t, s) for c, _, t, s in got] == \
+        [(c, t, s) for c, _, t, s in rows]
 
 
 def test_bulk_grid_rows(capsys):

@@ -285,6 +285,20 @@ def test_agm_relative_digits_at_small_modulus(ks):
             assert abs(got - ref) <= TOL * abs(ref)
 
 
+@pytest.mark.parametrize("gs", ["0.05", "0.1", "0.2", "1", "5"])
+def test_elliptic_data_relative_digits_at_small_gamma(gs):
+    # k' -> 1 as gamma -> 0: K' as K(k') formed k = sqrt(1 - k'^2) and lost
+    # 13, 47 and 118 of 256 bits at gamma = 0.2, 0.1 and 0.05
+    with mp.workprec(1100):
+        g = mpf(gs)
+    got = elliptic_data_from_gamma(g, P)
+    ref = elliptic_data_from_gamma(g, Precision(1024))
+    with mp.workprec(1100):
+        for field in ("k", "kprime", "bigK", "bigKprime", "q"):
+            assert abs(getattr(got, field) - getattr(ref, field)) \
+                <= TOL * abs(getattr(ref, field)), field
+
+
 def test_one_agm_per_modulus():
     # K, E, sn/cn/dn and the Landen Zeta at one (k, bits) share one AGM build
     agm = specfun._agm
