@@ -1,21 +1,20 @@
-"""Resolvent of the limiting eigenvalue density and the density itself.
+"""Closed forms for the limiting eigenvalue density: resolvent, values, mass.
 
-fe and d have closed forms for both.  In af every quantity is an elliptic
-integral over P = (x-alpha)(x-alpha')(x-beta')(x-beta), each taken in
-Carlson's closed forms: the resolvent omega(z) = int_z^inf dx / sqrt P(x) is
+Nothing here integrates numerically: fe and d are elementary, and in af each
+is an elliptic integral over P = (x-alpha)(x-alpha')(x-beta')(x-beta) in
+Carlson's closed forms.  The resolvent omega(z) = int_z^inf dx / sqrt P(x) is
 one complex R_F (:func:`_af_omega`), which on a band also gives the saddle
 equation's boundary value omega(mu + i0); the density is a band integral of
 1/sqrt|P| from a root of P, one real R_F (:func:`_band_integral`); the
-normalization is complete integrals of the first and third kinds.  Only the
-fe/d normalization integrates numerically.
+normalization is complete integrals of the first and third kinds.
 """
 
 from __future__ import annotations
 
-from mpmath import (mp, mpf, mpc, sqrt, log, pi, quad, conj, re, im, atan,
-                    fprod, elliprf, ellipk, ellippi)
+from mpmath import (mpf, mpc, sqrt, log, pi, conj, re, im, atan, fprod,
+                    elliprf, ellipk, ellippi)
 
-from ..errors import DomainError, QuadratureError
+from ..errors import DomainError
 from ..exactcore import PHASE_AF, PHASE_D, PHASE_FE, PhaseParams
 from ..precision import Precision, rounded
 from .geometry import SaddleGeometry
@@ -119,21 +118,32 @@ def _rho_af(params, geom, mu, p):
     return _band_integral(roots, be, max(mu, bep)) / pi
 
 
+def _norm_af(params, geom):
+    al, alp, bep, be = _af_roots(geom)
+    g = 2 / sqrt((be - alp) * (bep - al))
+    m = (be - bep) * (alp - al) / ((be - alp) * (bep - al))
+    pis = ellippi(-(alp - al) / (be - alp), m) \
+        + ellippi(-(be - bep) / (bep - al), m)
+    bands = (be - al) * pis - (be + bep - al - alp) * ellipk(m)
+    return g * bands / pi + (bep - alp) / (2 * mpf(params.gamma))
+
+
 _OMEGA = {PHASE_FE: _fe_omega, PHASE_D: _d_omega, PHASE_AF: _af_omega}
 _RHO = {PHASE_FE: _rho_fe, PHASE_D: _rho_d, PHASE_AF: _rho_af}
+_NORM = {PHASE_FE: lambda params, geom: sqrt(geom.alpha * geom.beta),
+         PHASE_D: lambda params, geom: sqrt(-geom.alpha * geom.beta) / pi,
+         PHASE_AF: _norm_af}
 
 
 def rho_at(params: PhaseParams, geom: SaddleGeometry, mu,
            p: Precision = Precision()):
     """Density rho(mu) = |Im omega(mu + i0)| / pi at a single point.
 
-    fe and d evaluate the closed-form density.  af evaluates one incomplete
-    elliptic integral of the first kind in closed form (Carlson's R_F); no
-    quadrature is involved.  Near an end of the support rho goes like
-    sqrt(end - mu) and amplifies the end's rounding by about
-    end / (2 (end - mu)); with the geometry at bits+32 the result is good to
-    2^(-bits+8) relative, losing no bit, to 1e-10 of the support's width
-    from an end, and loses at most 8 bits at 1e-12.
+    Near an end of the support rho goes like sqrt(end - mu) and amplifies
+    the end's rounding by about end / (2 (end - mu)); with the geometry at
+    bits+32 the result is good to 2^(-bits+8) relative, losing no bit, to
+    1e-10 of the support's width from an end, and loses at most 8 bits at
+    1e-12.
     """
     with p.work():
         out = _RHO[params.phase](params, geom, mpf(mu), p)
@@ -142,14 +152,18 @@ def rho_at(params: PhaseParams, geom: SaddleGeometry, mu,
 
 def density_normalization(params: PhaseParams, geom: SaddleGeometry,
                           p: Precision = Precision()):
-    """int rho(mu) dmu over the support.
+    """int rho(mu) dmu over the support, in closed form in the endpoints.
 
-    fe/d integrate the closed-form density and raise QuadratureError if
-    mpmath's error estimate exceeds 2^(-bits+8) of the value.  In af rho on
-    a band is a band integral up to a band end; swapping the integrations
-    leaves, over pi sqrt|P(x)| dx, (x - beta') on [beta', beta] for the
-    outer band and (alpha' - alpha) on [beta', beta] less (x - alpha) on
-    [alpha, alpha'] for the inner one.  With g and m of
+    By parts, int rho = -int mu rho'(mu) dmu, as mu rho is 0 at both ends.
+    fe: rho' lives on (beta, alpha), where rho = 2u/pi at
+    mu(u) = alpha beta / (alpha sin^2 u + beta cos^2 u), which gives
+    (2/pi) int_0^(pi/2) mu(u) du = sqrt(alpha beta).  d: rho = (2/pi^2) L,
+    mu L' = -sqrt(-alpha beta) / (2 sqrt((mu - alpha)(beta - mu))), which
+    gives sqrt(-alpha beta)/pi.  Both are 1 at the saddle endpoints.  af:
+    rho on a band is a band integral up to a band end; swapping the
+    integrations leaves, over pi sqrt|P(x)| dx, (x - beta') on [beta', beta]
+    for the outer band and (alpha' - alpha) on [beta', beta] less
+    (x - alpha) on [alpha, alpha'] for the inner one.  With g and m of
     :func:`_band_integral`, those are g ((beta - alpha) Pi(n_2|m)
     - (beta' - alpha) K(m)), g K(m) and g (beta - alpha) (K(m) - Pi(n_1|m)),
     n_1 = -(alpha' - alpha) / (beta - alpha') and
@@ -157,22 +171,7 @@ def density_normalization(params: PhaseParams, geom: SaddleGeometry,
     saturated core adds (beta' - alpha') / (2 gamma).
     """
     with p.work():
-        (lo, hi), sat = geom.support, geom.saturated
-        if params.phase != PHASE_AF:
-            split = sat[0][1] if sat else mpf(0)
-            out, err = quad(lambda mu: _RHO[params.phase](params, geom, mu, p),
-                            [lo, split, hi], error=True)
-            if err > mpf(2) ** (8 - p.bits) * abs(out):
-                raise QuadratureError(f"quadrature of rho stalled at error "
-                                      f"{mp.nstr(err, 5)}", achieved=err)
-        else:
-            al, alp, bep, be = _af_roots(geom)
-            g = 2 / sqrt((be - alp) * (bep - al))
-            m = (be - bep) * (alp - al) / ((be - alp) * (bep - al))
-            pis = ellippi(-(alp - al) / (be - alp), m) \
-                + ellippi(-(be - bep) / (bep - al), m)
-            bands = (be - al) * pis - (be + bep - al - alp) * ellipk(m)
-            out = g * bands / pi + (bep - alp) / (2 * mpf(params.gamma))
+        out = _NORM[params.phase](params, geom)
     return rounded(out, p)
 
 

@@ -218,9 +218,9 @@ def jacobi_zeta(u, k, p: Precision):
 def elliptic_data_from_gamma(gamma, p: Precision):
     """Elliptic data for nome q = exp(-pi^2/(2*gamma)).
 
-    The modulus comes from theta quotients (k = theta_2^2/theta_3^2 at z=0);
-    K and K' then follow from the AGM.  By construction K'/K = pi/(2*gamma),
-    which the test suite verifies as a round trip.
+    k = theta_2^2/theta_3^2 and k' = theta_4^2/theta_3^2 at z=0, so
+    K = pi/(2 AGM(1, k')) and K' = pi/(2 AGM(1, k)).  By construction
+    K'/K = pi/(2*gamma), which the test suite verifies as a round trip.
 
     Results are memoized per (gamma, bits), with gamma taken at the working
     precision bits+32; every caller shares the same immutable
@@ -239,10 +239,10 @@ def _elliptic_data(gamma, p: Precision):
         pp = Precision(p.bits + GUARD_HALF)
         _, (th2, _, _), (th3, _, _), (th4, _, _) = theta_all(0, q, pp)
         k, kprime = (th2 / th3) ** 2, (th4 / th3) ** 2
-        bigK = elliptic_K(k, pp)
         with pp.work():
-            # elliptic_K(k') would form k = sqrt(1 - k'^2), losing 13, 47
-            # and 118 of 256 bits at gamma = 0.2, 0.1 and 0.05
+            # sqrt(1 - k^2) for k' loses 62 of 256 bits of K at gamma = 30,
+            # and sqrt(1 - k'^2) for k 118 of K' at gamma = 0.05
+            bigK = pi / (2 * agm(1, kprime))
             bigKprime = pi / (2 * agm(1, k))
         return EllipticData(
             k=rounded(k, p),

@@ -15,25 +15,23 @@ below).
 
 import dataclasses
 import functools
-import importlib
 
 import mpmath
 import pytest
 from mpmath import (mp, mpf, mpc, sqrt, sinh, cosh, tanh, exp, log, pi, cos,
                     sin, asin, ellipf, ellipk, ellippi, fprod, quad, re, im)
+from mpmath.calculus.quadrature import QuadratureRule
 
 from sixvertex import exactcore, specfun
 from sixvertex import (CutoffTooSmallError, DegenerateGeometryError,
                        DomainError, Precision, QuadratureError, F_modular, bulk_f, chemb_residual,
                        density_normalization, dfdzeta, endpoints,
                        f_small_gamma, ode_check, phase_params, resolvent,
-                       rho_at, saddle_residual, subleading_AF_fit,
-                       smooth_fit_D, tau_sequence, weights_from)
+                       rho_at, saddle_residual, SaddleGeometry,
+                       subleading_AF_fit, smooth_fit_D, tau_sequence,
+                       partition_Z, weights_from)
 from sixvertex.asymptotics.resolvent import _af_omega
 from sixvertex.precision import rounded
-
-# the module, not the function that sixvertex.asymptotics re-exports
-_resolvent = importlib.import_module("sixvertex.asymptotics.resolvent")
 
 P = Precision(256)
 P128 = Precision(128)
@@ -802,41 +800,33 @@ def test_af_normalization_closed_form_against_quadrature(gamma, zeta, bits):
         assert abs(norm - 1) < tol
 
 
-def test_af_resolvent_layer_runs_no_quadrature(monkeypatch):
-    # resolvent, saddle residual and normalization are closed forms in af:
-    # no mpmath.quad call, so the slow routes cannot come back unnoticed
+def test_resolvent_layer_runs_no_quadrature(monkeypatch):
+    # resolvent, density, saddle residual and normalization are closed forms
+    # in every phase: no quadrature rule runs, however mpmath.quad was
+    # imported, so the slow routes cannot come back unnoticed
     calls = []
-    quad_ = _resolvent.quad
+    summation = QuadratureRule.summation
 
-    def counting(*args, **kwargs):
+    def counting(self, *args, **kwargs):
         calls.append(args)
-        return quad_(*args, **kwargs)
-    monkeypatch.setattr(_resolvent, "quad", counting)
-    prm, geom, (al, alp, bep, be) = _af_point("1", "0.3", P96)
-    with P96.work():
-        zs = (al - 1, mpc(2, 1), mpc(-be, be))
-        mus = ((al + alp) / 2, (bep + be) / 2)
-    for z in zs:
-        resolvent(prm, geom, z, P96)
-    for mu in mus:
-        saddle_residual(prm, geom, mu, P96)
-    density_normalization(prm, geom, P96)
-    assert calls == []
-
-
-@pytest.mark.parametrize("phase,t,gamma", [("fe", "1.5", "0.4"),
-                                           ("d", "0.3", "1.0")])
-def test_normalization_raises_on_quadrature_error(monkeypatch, phase, t, gamma):
-    # fe/d integrate rho numerically and check mpmath's error estimate
-    prm = _params(phase, t, gamma, P96)
-    geom = endpoints(prm, P96)
-    quad_ = _resolvent.quad
-
-    def noisy(f, intervals, error=False):
-        return quad_(f, intervals), mpf(2) ** -40
-    monkeypatch.setattr(_resolvent, "quad", noisy)
-    with pytest.raises(QuadratureError):
+        return summation(self, *args, **kwargs)
+    monkeypatch.setattr(QuadratureRule, "summation", counting)
+    for phase, t, g in (("fe", "1.5", "0.4"), ("d", "0.3", "1.0"),
+                        ("af", "0.3", "1.0")):
+        prm = _params(phase, t, g, P96)
+        geom = endpoints(prm, P96)
+        (lo, hi), sat = geom.support, geom.saturated
+        with P96.work():
+            zs = (lo - 1, mpc(2, 1), mpc(-hi, hi))
+            mus = [lo + (hi - lo) * i / 7 for i in range(1, 7)]
+        for z in zs:
+            resolvent(prm, geom, z, P96)
+        for mu in mus:
+            rho_at(prm, geom, mu, P96)
+            if not any(a <= mu <= b for a, b in sat):
+                saddle_residual(prm, geom, mu, P96)
         density_normalization(prm, geom, P96)
+        assert calls == [], phase
 
 
 # ---------------------------------------------------------------------------
@@ -896,8 +886,7 @@ class TestFits:
 
 # Each value at 256 bits against the same call at 1024 bits, from the same
 # decimal strings (and the same dyadic mu and z), to 2^(-bits+8) relative;
-# density_normalization against its exact value 1, which a 1024-bit
-# quadrature in fe and d takes about 9 s to confirm.  Left out, because
+# density_normalization against its exact value 1.  Left out, because
 # their value is a rounding error with no digits to compare:
 # saddle_residual, chemb_residual and ode_check.
 SWEEP = [("fe", "1.5", "0.4"), ("fe", "0.400001", "0.4"),
@@ -905,7 +894,7 @@ SWEEP = [("fe", "1.5", "0.4"), ("fe", "0.400001", "0.4"),
          ("d", "0.3", "1.0"), ("d", "0.95", "1.0"), ("d", "-0.95", "1.0"),
          ("d", "-0.2", "0.5"),
          ("af", "0.3", "1.0"), ("af", "0.95", "1.0"), ("af", "-0.95", "1.0"),
-         ("af", "0.04", "0.1"), ("af", "1.5", "5")]
+         ("af", "0.04", "0.1"), ("af", "1.5", "5"), ("af", "9", "30")]
 SWEEP_BITS, SWEEP_REF = Precision(256), Precision(1024)
 
 
@@ -958,6 +947,56 @@ def test_contract_sweep(phase, t, g):
     prm, geom = _sweep_point(phase, t, g, SWEEP_BITS)
     _assert_contract(density_normalization(prm, geom, SWEEP_BITS), mpf(1),
                      "density_normalization")
+
+
+@pytest.mark.parametrize("phase,t,g", SWEEP)
+def test_exact_layer_contract_sweep(phase, t, g):
+    # tau_N/c_N with its log for N <= 40, Z_12 and the weights
+    vals = {}
+    for p in (SWEEP_BITS, SWEEP_REF):
+        prm, _ = _sweep_point(phase, t, g, p)
+        vals[p] = {"tau_sequence": tau_sequence(prm, 40, p),
+                   "partition_Z": partition_Z(prm, 12, p),
+                   "weights_from": weights_from(prm, p)}
+    for name in vals[SWEEP_REF]:
+        _assert_contract(vals[SWEEP_BITS][name], vals[SWEEP_REF][name], name)
+
+
+# The fe and d sweep points, and endpoints off the saddle, where the closed
+# forms sqrt(alpha beta) and sqrt(-alpha beta)/pi are not 1: any
+# 0 < beta < alpha (fe) and alpha < 0 < beta (d).  af's oracle is
+# test_af_normalization_closed_form_against_quadrature.
+_NORM_CASES = ([pt + (None,) for pt in SWEEP if pt[0] != "af"]
+               + [("fe", "1.5", "0.4", ("3", "0.2")),
+                  ("fe", "1.5", "0.4", ("1.25", "0.75")),
+                  ("d", "0.3", "1.0", ("-2", "1.25")),
+                  ("d", "0.3", "1.0", ("-0.5", "7"))])
+
+
+@pytest.mark.parametrize("bits", [96, 256])
+@pytest.mark.parametrize("phase,t,g,ends", _NORM_CASES, ids=lambda v: (
+    "-".join(v) if isinstance(v, tuple) else None))
+def test_normalization_closed_form_against_quadrature(phase, t, g, ends,
+                                                      bits):
+    # tanh-sinh quadrature of rho_at, split at the saturation end (fe) and
+    # at the log singularity mu = 0 (d)
+    p, pq = Precision(bits), Precision(bits + 32)
+    prm, geom = _sweep_point(phase, t, g, p)
+    if ends is not None:
+        al, be = (mpf(x) for x in ends)
+        geom = (SaddleGeometry(al, be, (mpf(0), al), ((mpf(0), be),), mpf(1))
+                if phase == "fe" else
+                SaddleGeometry(al, be, (al, be), (), mp.inf))
+    norm = density_normalization(prm, geom, p)
+    with pq.work():
+        (lo, hi), sat = geom.support, geom.saturated
+        split = sat[0][1] if sat else mpf(0)
+        val, err = quad(lambda mu: rho_at(prm, geom, mu, pq), [lo, split, hi],
+                        error=True)
+        assert err < mpf(2) ** (-bits - 8) * val
+        assert abs(norm - val) <= mpf(2) ** (8 - bits) * val
+        if ends is None:
+            assert abs(norm - 1) <= mpf(2) ** (8 - bits)
 
 
 @pytest.mark.parametrize("phase,t,g", SWEEP)

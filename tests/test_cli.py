@@ -147,17 +147,16 @@ def test_rows_reuse_what_the_command_computed_once(monkeypatch, capsys):
 
 
 def test_af_density_runs_no_quadrature(monkeypatch, capsys):
-    # the af density is closed form: no mpmath.quad call in the resolvent
-    # layer, so the slow route cannot come back unnoticed
-    import importlib
-    resolvent = importlib.import_module("sixvertex.asymptotics.resolvent")
+    # the af density is closed form: no quadrature rule runs, however
+    # mpmath.quad was imported, so the slow route cannot come back unnoticed
+    from mpmath.calculus.quadrature import QuadratureRule
     calls = []
-    quad = resolvent.quad
+    summation = QuadratureRule.summation
 
-    def counting(*args, **kwargs):
+    def counting(self, *args, **kwargs):
         calls.append(args)
-        return quad(*args, **kwargs)
-    monkeypatch.setattr(resolvent, "quad", counting)
+        return summation(self, *args, **kwargs)
+    monkeypatch.setattr(QuadratureRule, "summation", counting)
     code, out, _ = run(["density", "--phase", "af", "--gamma", "1", "--zeta",
                         "0", "--grid", "5"], capsys)
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]

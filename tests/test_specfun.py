@@ -285,10 +285,12 @@ def test_agm_relative_digits_at_small_modulus(ks):
             assert abs(got - ref) <= TOL * abs(ref)
 
 
-@pytest.mark.parametrize("gs", ["0.05", "0.1", "0.2", "1", "5"])
+@pytest.mark.parametrize("gs", ["0.05", "0.1", "0.2", "1", "5", "20", "30"])
 def test_elliptic_data_relative_digits_at_small_gamma(gs):
     # k' -> 1 as gamma -> 0: K' as K(k') formed k = sqrt(1 - k'^2) and lost
-    # 13, 47 and 118 of 256 bits at gamma = 0.2, 0.1 and 0.05
+    # 13, 47 and 118 of 256 bits at gamma = 0.2, 0.1 and 0.05; k -> 1 as
+    # gamma grows: K as K(k) formed k' and lost 5, 32 and 62 bits at
+    # gamma = 10, 20 and 30
     with mp.workprec(1100):
         g = mpf(gs)
     got = elliptic_data_from_gamma(g, P)
