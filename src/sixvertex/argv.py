@@ -60,7 +60,7 @@ def build_parser():
     sp.add_argument("--ansatz-n", type=int, default=6,
                     help="ode (af): lattice size for the bilinear substitution")
     common(sp, phase=False, nrange="1..5")
-    sp.add_argument("--phase", choices=PHASES, default="af")
+    sp.add_argument("--phase", choices=PHASES, help="default af; laplace: d")
     sp.add_argument("--gamma", default="1.0")
     grp = sp.add_mutually_exclusive_group()
     grp.add_argument("--t")

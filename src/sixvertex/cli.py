@@ -238,6 +238,8 @@ def cmd_density(args):
 def cmd_fit(args):
     p = Precision(args.bits)
     prm = _params_from_args(args, p)
+    if prm.phase not in (PHASE_AF, PHASE_D):
+        raise PhaseDomainError("fit supports the af and d phases")
     ns = parse_int_range(args.n)
     taus = _by_n(tau_sequence, prm, ns, p)
     if prm.phase == PHASE_AF:
@@ -248,7 +250,7 @@ def cmd_fit(args):
                 "gamma": _fmt(prm.gamma, args.bits), "bits": args.bits,
                 "spread_top_half": _fmt(spread, args.bits),
                 "note": "r_N = log(tau_N/c_N) - N^2 f - log theta4((pi/2)(1+zeta)N)"}
-    elif prm.phase == PHASE_D:
+    else:
         kappa, const, resid = asymptotics.smooth_fit_D(taus, prm, p)
         # r_N as in asymptotics.fits, not from the rounded log_scaled
         f = asymptotics.bulk_f(prm, Precision(p.bits + 32)).f
@@ -261,8 +263,6 @@ def cmd_fit(args):
                 "kappa_fit": repr(kappa),
                 "const_fit": repr(const), "max_fit_residual": repr(resid),
                 "note": "r_N = log(tau_N/c_N) - N^2 f; kappa reported, not asserted"}
-    else:
-        raise PhaseDomainError("fit supports the af and d phases")
     _emit(rows, header, args, meta)
     return 0
 
@@ -280,9 +280,11 @@ def _check_report(names_vals_tols):
 
 def cmd_check(args):
     p = Precision(args.bits)
+    phase = args.phase or (PHASE_D if args.target == "laplace" else PHASE_AF)
+    point = partial(_phase_point, phase, args.gamma, p, zeta=args.zeta)
     checks = []
     if args.target == "toda":
-        prm = _params_from_args(args, p)
+        prm = point(args.t)
         tol = mpf(2) ** (-p.bits // 2 + 16)
         ns = parse_int_range(args.n)
         for n, resid in zip(ns, _by_n(toda_residuals, prm, ns, p)):
@@ -306,12 +308,13 @@ def cmd_check(args):
     elif args.target == "identities":
         checks = identity_checks(p)
     elif args.target == "laplace":
-        prm = _phase_point(PHASE_D, args.gamma, p, args.t or "0.3",
-                           args.zeta)
+        if phase != PHASE_D:
+            raise PhaseDomainError("check laplace runs the d phase only")
+        prm = point(args.t or "0.3")
         checks.append(("laplace_moments_max_err",
                        laplace_moment_check(prm, args.imax, p), mpf("1e-10")))
     elif args.target == "derivative":
-        prm = _params_from_args(args, p)
+        prm = point(args.t)
         ep, closed = asymptotics.dfdzeta(prm, p)
         with p.work():
             checks.append(("dfdzeta_endpoint_vs_closed", ep - closed, mpf("1e-8")))
@@ -320,7 +323,7 @@ def cmd_check(args):
             checks.append(("chemical_potential_residual",
                            asymptotics.chemb_residual(prm, geom, p), mpf("1e-8")))
     elif args.target == "ode":
-        prm = _params_from_args(args, p)
+        prm = point(args.t)
         if prm.phase == PHASE_AF:
             checks.append(("toda_of_theta_ansatz",
                            asymptotics.ode_check(prm, p, n=args.ansatz_n),

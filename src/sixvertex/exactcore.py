@@ -6,9 +6,11 @@ single generating function phi(t).  Everything here is exact at finite N:
 Boltzmann weights, the derivatives of phi from the Taylor recurrence of its
 Riccati equation, the scaled determinant tau_N / c_N with
 c_N = (prod_{n<N} n!)^2, the partition function Z_N = (a*b)^(N^2) * tau_N / c_N,
-the Laplace-moment cross-check in d, and the Toda residual in t.  The
-discrete-sum route to tau_N in fe and af (a Stieltjes pass on the modes)
-is a test oracle and lives in tests/test_exactcore.py.
+the Laplace-moment cross-check in d, and the Toda residual in t, whose
+5-point t-step scales with r, the distance from t to phi's nearest pole; r
+is also t's distance to the region's boundary, so the points stay inside.
+The discrete-sum route to tau_N in fe and af (a Stieltjes pass on the
+modes) is a test oracle and lives in tests/test_exactcore.py.
 
 The three phases are one parameterization.  Each is a :class:`Phase` record
 in PHASE_TABLE (its region, the sign s of F'' = s F, its bulk f and f''),
@@ -47,7 +49,7 @@ from .errors import (
     PrecisionExhaustedError,
     QuadratureError,
 )
-from .precision import Precision, bilinear_residual, fixed, rounded, shr
+from .precision import Precision, fixed, rounded, shr
 from .specfun import (elliptic_data_from_gamma, theta, theta_all,
                       theta1_prime_zero)
 
@@ -215,6 +217,13 @@ def _riccati_taylor(y0, sign, s: int, order_max: int, W: int) -> list:
     return A
 
 
+def _pole_scale(x, sign) -> int:
+    """The least s with 2^s > r, r the distance from x to the nearest pole
+    of F'/F: |x| for coth (sign 1), the distance to pi*Z for cot (-1)."""
+    r = abs(x - pi * nint(x / pi)) if sign < 0 else abs(x)
+    return r.exp + r.bc
+
+
 def phi_derivatives(params: PhaseParams, order_max: int,
                     p: Precision = Precision()) -> tuple:
     """phi^(n)(t) for n = 0..order_max, each rounded to bits, from the Taylor
@@ -225,15 +234,14 @@ def phi_derivatives(params: PhaseParams, order_max: int,
     (coth in fe and af, cot in d), every phase has
     phi = c/(ab) = sigma (y(t + gamma) - y(t - gamma)), so
     phi^(n)(t) = sigma n! (a_n - b_n) with a_n, b_n the Taylor coefficients
-    of y at t + gamma and at t - gamma.  The radius r of each series is the
-    distance from x to the nearest pole: |x| for coth, and the distance of
-    x to pi*Z for cot.  Each series runs in fixed point at W = bits + 32
-    (the scale 2^s of :func:`_riccati_taylor` is the least power of two
-    above r), n! (a_n - b_n) is formed exactly from the two integer series,
-    and each value is rounded once to bits.  Against a 1600-bit reference
-    the fixed-point series at bits = 256 lose at most 8.4 of their W bits
-    up to order 190 and 10.0 up to order 598 (fe t=1.5 gamma=0.4, af and d
-    t=0.3 gamma=1), so values are good to about 2^(-bits) relative.
+    of y at t + gamma and at t - gamma.  Each series runs in fixed point at
+    W = bits + 32 and the scale 2^s of :func:`_riccati_taylor`, the least
+    power of two above its radius (:func:`_pole_scale`); n! (a_n - b_n) is
+    formed exactly from the two integer series, and each value is rounded
+    once to bits.  Against a 1600-bit reference the fixed-point series at
+    bits = 256 lose at most 8.4 of their W bits up to order 190 and 10.0 up
+    to order 598 (fe t=1.5 gamma=0.4, af and d t=0.3 gamma=1), so values
+    are good to about 2^(-bits) relative.
     """
     if order_max < 0:
         raise ValueError("order_max must be >= 0")
@@ -245,8 +253,7 @@ def phi_derivatives(params: PhaseParams, order_max: int,
         sigma = 1 if g > t else -1
         series = []
         for x in (t + g, t - g):
-            r = abs(x - pi * nint(x / pi)) if sign < 0 else abs(x)
-            s = max(r.exp + r.bc, -W)
+            s = max(_pole_scale(x, sign), -W)
             series.append((s, _riccati_taylor(dF(x) / F(x), sign, s,
                                               order_max, W)))
     (sa, a), (sb, b) = series
@@ -445,51 +452,42 @@ def partition_Z(params: PhaseParams, N: int, p: Precision = Precision()):
 # ---------------------------------------------------------------------------
 
 
-def t_stencil(params: PhaseParams, p: Precision):
-    """Step h and the phase points t + i h, i = -2..2, built at bits + 64,
-    of the 5-point difference in t of :func:`toda_residuals`, its only
-    user.  h = 2^(-bits/5) balances h^4 truncation against 2^(-bits)/h^2
-    roundoff; near the region's boundary it is divided by 4 until every
-    point passes :func:`phase_params`, at most four tries in all, then
-    PhaseDomainError."""
-    pw = Precision(p.bits + 64)
-    h = mpf(2) ** (-(p.bits // 5))
-    for _ in range(4):
-        try:
-            with pw.work():
-                offsets = [mpf(params.t) + i * h for i in (-2, -1, 0, 1, 2)]
-            return h, [phase_params(params.phase, t_off, params.gamma, pw)
-                       for t_off in offsets]
-        except PhaseDomainError:
-            h /= 4
-    raise PhaseDomainError("differentiation stencil leaves the phase region")
-
-
 def toda_residuals(params: PhaseParams, N_max: int, p: Precision) -> list:
     """Relative residuals of the bilinear identity for N = 1..N_max.
 
     With s_N = tau_N / c_N the identity at fixed gamma reads
         s_N s_N'' - (s_N')^2 = N^2 s_{N+1} s_{N-1},   N^2 = c_{N+1}c_{N-1}/c_N^2,
-    and s_0 = 1 by the tau_0 = 1 convention.  Derivatives in t use 5-point
-    central differences on :func:`t_stencil`; the achievable residual scale
-    is therefore ~2^(-3*bits/5).  The stencil points do not depend on N, so
-    one :func:`tau_sequence` to N_max + 1 per point serves every N.
+    and s_0 = 1 by the tau_0 = 1 convention.  s_N' and s_N'' are 5-point
+    central differences on t + i h, i = -2..2, built at bits + 64, with
+    h = 2^(min(0, floor(log2 r)) - floor(bits/5)), r the distance from t to
+    phi's nearest pole (:func:`_pole_scale`): in units of min(1, r), h^4
+    truncation balances 2^(-bits)/h^2 roundoff, a residual of ~2^(-3bits/5).
+    r is also the distance from t to the region's boundary (fe t - |gamma|;
+    af and d gamma - |t|, d's poles at +-(pi - gamma) lying farther), and
+    2h < r keeps every point inside.  One :func:`tau_sequence` to N_max + 1
+    per point serves every N.
     """
     if N_max < 1:
         raise ValueError("N must be >= 1")
     pw = Precision(p.bits + 64)
-    h, stencil = t_stencil(params, p)
+    sign = PHASE_TABLE[params.phase].sign
     with pw.work():
-        # s_0 = 1 .. s_{N_max+1} at each stencil point
+        t, g = mpf(params.t), mpf(params.gamma)
+        scale = min(_pole_scale(t + g, sign), _pole_scale(t - g, sign))
+        h = mpf(2) ** (min(0, scale - 1) - p.bits // 5)
+        points = [phase_params(params.phase, t + i * h, params.gamma, pw)
+                  for i in (-2, -1, 0, 1, 2)]
+        # s_0 = 1 .. s_{N_max+1} at each point
         seqs = [[mpf(1)] + [mpf(tv.scaled_tau)
                             for tv in tau_sequence(prm, N_max + 1, pw)]
-                for prm in stencil]
-        centre = seqs[2]
+                for prm in points]
         out = []
         for N in range(1, N_max + 1):
-            rhs = N * N * centre[N + 1] * centre[N - 1]
-            resid = bilinear_residual([s[N] for s in seqs], h, rhs)
-            out.append(rounded(resid, p))
+            m2, m1, s, p1, p2 = (seq[N] for seq in seqs)
+            d1 = (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h)
+            d2 = (-p2 + 16 * p1 - 30 * s + 16 * m1 - m2) / (12 * h ** 2)
+            rhs = N * N * seqs[2][N + 1] * seqs[2][N - 1]
+            out.append(rounded(abs(s * d2 - d1 ** 2 - rhs) / abs(rhs), p))
     return out
 
 

@@ -5,8 +5,7 @@ instead of relying on the caller to have configured ``mpmath.mp``.  Internally
 computations run with a guard margin and results are rounded back to the
 requested width, so documented error bounds are of the form 2**(-bits+g) with
 a small g.  The fixed-point integer helpers that the integer loops of
-:mod:`sixvertex.exactcore` and :mod:`sixvertex.specfun` share, and the
-bilinear-identity residual of the Toda check, live here too.
+:mod:`sixvertex.exactcore` and :mod:`sixvertex.specfun` share live here too.
 """
 
 from __future__ import annotations
@@ -52,13 +51,3 @@ def fixed(x, e: int) -> int:
 def shr(x: int, s: int) -> int:
     """x / 2^s rounded toward zero (s >= 0)."""
     return x >> s if x >= 0 else -(-x >> s)
-
-
-def bilinear_residual(vals, h, rhs):
-    """|A A'' - A'^2 - rhs| / |rhs| at the centre of five samples
-    A(x-2h), A(x-h), A(x), A(x+h), A(x+2h), with A' and A'' from the
-    5-point central stencils (truncation error O(h^4))."""
-    d1 = (-vals[4] + 8 * vals[3] - 8 * vals[1] + vals[0]) / (12 * h)
-    d2 = (-vals[4] + 16 * vals[3] - 30 * vals[2] + 16 * vals[1] - vals[0]) \
-        / (12 * h ** 2)
-    return abs(vals[2] * d2 - d1 ** 2 - rhs) / abs(rhs)

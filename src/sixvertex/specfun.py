@@ -1,7 +1,7 @@
 """Arbitrary-precision elliptic kernel.
 
-One memoized arithmetic-geometric mean per (k, bits), :func:`_agm`, gives
-the complete elliptic integrals K and E and the descending Landen pass
+One memoized arithmetic-geometric mean per (k, k', bits), :func:`_agm`,
+gives K and E, the K and K' of a gamma, and the descending Landen pass
 :func:`_landen`, which yields Jacobi sn/cn/dn and, from the same
 amplitudes, Jacobi's Zeta as sum c_n sin phi_n (:func:`jacobi_zeta`).
 Jacobi theta_1..theta_4 and their first two z-derivatives come from one
@@ -14,7 +14,7 @@ explicit :class:`~sixvertex.precision.Precision`; there is no module-level
 precision state.
 
 Three memos live here, each for the life of the process: :func:`_agm` per
-(k, bits), the elliptic data of a gamma per (gamma, bits) behind
+(k, k', bits), the elliptic data of a gamma per (gamma, bits) behind
 :func:`elliptic_data_from_gamma`, and :func:`theta1_prime_zero` per
 (q, bits).  :func:`identity_checks` is the identity suite that
 ``sixvertex check identities`` and the tests share.
@@ -27,11 +27,12 @@ modular-transformation facility is provided here.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from mpmath import mp, mpf, agm, sqrt, sin, cos, cos_sin, asin, exp, pi
+from mpmath import mp, mpf, sqrt, sin, cos, cos_sin, asin, exp, pi
 
 from .errors import DomainError
 from .precision import Precision, fixed, rounded, shr
@@ -56,18 +57,19 @@ def _check_modulus(k):
 
 
 @lru_cache(maxsize=64)
-def _agm(k, p: Precision):
-    """The AGM of 1 and k' = sqrt(1 - k^2), memoized per (k, bits): the
+def _agm(k, kprime, p: Precision):
+    """The AGM of 1 and k' = sqrt(1 - k^2), memoized per (k, k', bits): the
     sequences a_0..a_N and c_0..c_N at bits + 32, run until
-    c_N < 2^(-bits-16).  The only AGM loop here.
+    c_N < 2^(-bits-16).  The only AGM loop here.  k' is an argument so that
+    the theta k and k' of :func:`elliptic_data_from_gamma` keep every bit:
+    sqrt(1 - x^2) lost 62 of 256 bits of K at gamma = 30, 118 of K' at 0.05.
 
     c_0 = k and c_n = (a_(n-1) - b_(n-1))/2, formed as c_(n-1)^2/(4 a_n)
     (equal, since c_n^2 = a_n^2 - b_n^2): the difference cancels when k is
     small, about 2 log2(1/k) - 32 bits of Jacobi's Zeta at 256 bits, and
     the quotient does not."""
     with p.work():
-        a, c = [mpf(1)], [k]
-        b = sqrt(1 - k ** 2)
+        a, c, b = [mpf(1)], [k], kprime
         tol = mpf(2) ** (-(p.bits + GUARD_HALF))
         while abs(c[-1]) > tol:
             a_prev = a[-1]
@@ -81,7 +83,7 @@ def elliptic_K(k, p: Precision):
     """Complete elliptic integral of the first kind, K = pi/(2 a_N)."""
     _check_modulus(k)
     with p.work():
-        a, _ = _agm(mpf(k), p)
+        a, _ = _agm(mpf(k), sqrt(1 - mpf(k) ** 2), p)
         out = pi / (2 * a[-1])
     return rounded(out, p)
 
@@ -94,7 +96,7 @@ def elliptic_E(k, p: Precision):
     """
     _check_modulus(k)
     with p.work():
-        a, c = _agm(mpf(k), p)
+        a, c = _agm(mpf(k), sqrt(1 - mpf(k) ** 2), p)
         deficit = c[0] ** 2 / 2
         for n in range(1, len(c)):
             deficit += mpf(2) ** (n - 1) * c[n] ** 2
@@ -112,7 +114,7 @@ def _landen(u, k, p: Precision):
     """
     with p.work():
         k = mpf(k)
-        a, c = _agm(k, p)
+        a, c = _agm(k, sqrt(1 - k ** 2), p)
         n = len(a) - 1
         phi = mpf(2) ** n * a[n] * mpf(u)
         Z = mpf(0)
@@ -148,30 +150,39 @@ def theta_all(z, q, p: Precision):
 
     The sums run on Python integers at the scale 2^(-F), the fixed-point
     idiom of :mod:`sixvertex.exactcore`: one cos_sin(z), q^(1/4) and
-    q^(1/2) at bits + 48, then q^(m^2/4) stepped by ratios q^((2m+1)/4)
-    that are stepped by q^(1/2), and (cos mz, sin mz) by a rotation through
-    z, each product shifted back toward zero.  The relative errors of the
-    mpf inputs only perturb the rotation's angle and length and the
-    q-powers' scale.  The shifts leave by term m about 2m^2 units of
-    2^(-F) on the q-power and 2m on the rotated pair, so the d-th
+    q^(1/2) at bits + 48 + c (c below), then q^(m^2/4) stepped by ratios
+    q^((2m+1)/4) that are stepped by q^(1/2), and (cos mz, sin mz) by a
+    rotation through z, each product shifted back toward zero.  The
+    relative errors of the mpf inputs only perturb the rotation's angle and
+    length and the q-powers' scale.  The shifts leave by term m about 2m^2
+    units of 2^(-F) on the q-power and 2m on the rotated pair, so the d-th
     derivative is off by less than 2^(-F) sum_(m<=M) (3m^2 + 3) m^d, below
     2^(-bits+8-e) while M < 1500 (M is 106 for q = 0.6 at 2048 bits).
-    Here e is the bits below 1 of min(|sin z|, |cos z|) plus those of q,
-    so 2^(-e) lies below the size of every row: 2 q^(1/4) |sin z| of
-    theta_1 near z = 0 (|cos z| of theta_2 near pi/2), and 8 q of theta_3''
-    and theta_4''.  F = bits + 48 + e and the stop rule's 2^(-e) make both
-    the rounding and the truncation bounds relative to that size, however
-    small q is.  Each value is rounded once to bits.
+    Here e is the bits below 1 of min(|sin z|, |cos z|), of q and (c) of
+    2 sqrt(pi/eps) exp(-pi^2/(4 eps)), eps = -ln q, so 2^(-e) lies below
+    the size of every row: 2 q^(1/4) |sin z| of theta_1 near z = 0
+    (|cos z| of theta_2 near pi/2), 8 q of theta_3'' and theta_4'', and
+    the lower bound that Jacobi's imaginary transformation gives theta_4(0)
+    as q -> 1, where terms of size 1 cancel (theta_1, theta_2 shrink
+    alike).  c is 0 for q <= 1/4 (af gamma < 3.6), where theta_4(0) >=
+    1 - 2q >= 1/2, 68 at af gamma = 100 and 139 at gamma = 200.
+    F = bits + 48 + e and the stop rule's 2^(-e) make both the rounding and
+    the truncation bounds relative to that size, however close to 0 or 1
+    q is.  Each value is rounded once to bits.
     """
     if not (0 <= q < 1):
         raise DomainError(f"nome q={q} outside [0, 1)")
-    with mp.workprec(p.bits + 48):
+    lost = 0
+    if q > 0.25:
+        eps = -math.log(q)
+        lost = max(0, math.floor(math.pi ** 2 / (4 * eps * math.log(2))
+                                 - math.log2(2 * math.sqrt(math.pi / eps))))
+    with mp.workprec(p.bits + 48 + lost):
         c, s = cos_sin(mpf(z))
         q = mpf(q)
         r2 = sqrt(q)
         r = sqrt(r2)
-    e = sum(max(0, -(x.exp + x.bc))             # bits below 1
-            for x in (min(abs(c), abs(s)), q))
+    e = lost + sum(max(0, -(x.exp + x.bc)) for x in (min(abs(c), abs(s)), q))
     F = p.bits + 48 + e
     C, S, R, R2 = (fixed(x, F) for x in (c, s, r, r2))
     mag, ratio = 2 * R, shr(R * R2, F)       # 2 q^(m^2/4), q^((2m+1)/4)
@@ -240,10 +251,8 @@ def _elliptic_data(gamma, p: Precision):
         _, (th2, _, _), (th3, _, _), (th4, _, _) = theta_all(0, q, pp)
         k, kprime = (th2 / th3) ** 2, (th4 / th3) ** 2
         with pp.work():
-            # sqrt(1 - k^2) for k' loses 62 of 256 bits of K at gamma = 30,
-            # and sqrt(1 - k'^2) for k 118 of K' at gamma = 0.05
-            bigK = pi / (2 * agm(1, kprime))
-            bigKprime = pi / (2 * agm(1, k))
+            bigK = pi / (2 * _agm(k, kprime, pp)[0][-1])
+            bigKprime = pi / (2 * _agm(kprime, k, pp)[0][-1])
         return EllipticData(
             k=rounded(k, p),
             kprime=rounded(kprime, p),

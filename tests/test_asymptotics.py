@@ -927,7 +927,9 @@ def _assert_contract(got, ref, what, bits=SWEEP_BITS.bits):
                     (what, mp.nstr(abs(x / r - 1), 5))
 
 
-@pytest.mark.parametrize("phase,t,g", SWEEP)
+# af at gamma = 200 (q = exp(-pi^2/400)): the theta series cancels by
+# 139 bits there, which lost 73 of 256 bits of f before the series counted it
+@pytest.mark.parametrize("phase,t,g", SWEEP + [("af", "60", "200")])
 def test_contract_sweep(phase, t, g):
     _, ref_geom = _sweep_point(phase, t, g, SWEEP_REF)
     with mp.workprec(SWEEP_REF.bits):

@@ -219,6 +219,16 @@ def test_check_laplace_honours_zeta(monkeypatch, capsys):
             assert abs(prm.zeta - mpf(t) / mpf("1.25")) < mpf(2) ** (-150)
 
 
+@pytest.mark.parametrize("phase,code", [("fe", 2), ("af", 2), ("d", 0)])
+def test_check_laplace_runs_d_only(monkeypatch, capsys, phase, code):
+    # an explicit --phase other than d used to run d silently and exit 0
+    monkeypatch.setattr(cli, "laplace_moment_check", lambda *args: mpf(0))
+    got, _, err = run(["check", "laplace", "--phase", phase, "--gamma", "1",
+                       "--bits", "96"], capsys)
+    assert got == code
+    assert ("d phase" in err) == (code == 2)
+
+
 def test_check_ode_both_branches(capsys):
     code, out, _ = run(["check", "ode", "--phase", "d", "--gamma", "1",
                         "--t", "0.3", "--bits", "96"], capsys)
@@ -320,6 +330,17 @@ def test_fit_af_json(capsys):
     payload = json.loads(out)
     assert payload["meta"]["spread_top_half"]
     assert len(payload["rows"]) == 8
+
+
+def test_fit_refuses_fe_before_computing_tau(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("fit computed tau before checking the phase")
+
+    monkeypatch.setattr(cli, "tau_sequence", refuse)
+    code, _, err = run(["fit", "--phase", "fe", "--gamma", "0.4", "--t", "1.5",
+                        "--n", "2..500"], capsys)
+    assert code == 2
+    assert "fit supports the af and d phases" in err
 
 
 def test_config_file(tmp_path, capsys):

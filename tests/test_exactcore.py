@@ -625,6 +625,16 @@ class TestToda:
         prm = _params("fe", "1.5", "0.4")
         assert toda_residual(prm, 6, P) < mpf(2) ** (-112)
 
+    @pytest.mark.parametrize("phase,t,g", [
+        ("fe", "0.4000001", "0.4"), ("af", "0.99999", "1"),
+        ("d", "0.99999", "1")])
+    def test_near_the_region_boundary(self, phase, t, g):
+        # a step of 2^(-bits/5), blind to the distance 1e-7 or 1e-5 to the
+        # boundary, failed from N = 2 in fe (1.4e-24 at N = 12) and from
+        # N = 8 in af and d (1.4e-32 at N = 12)
+        resid = toda_residuals(phase_params(phase, t, g, P), 12, P)
+        assert max(resid) < mpf(2) ** (-P.bits // 2 + 16)
+
     def test_sequence_equals_per_n_calls(self):
         # leading minors do not depend on N_max, so neither do the residuals
         prm = _params("af", "0.2", "1.0")

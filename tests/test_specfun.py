@@ -285,12 +285,14 @@ def test_agm_relative_digits_at_small_modulus(ks):
             assert abs(got - ref) <= TOL * abs(ref)
 
 
-@pytest.mark.parametrize("gs", ["0.05", "0.1", "0.2", "1", "5", "20", "30"])
+@pytest.mark.parametrize("gs", ["0.05", "0.1", "0.2", "1", "5", "20", "30",
+                                "100", "200"])
 def test_elliptic_data_relative_digits_at_small_gamma(gs):
     # k' -> 1 as gamma -> 0: K' as K(k') formed k = sqrt(1 - k'^2) and lost
     # 13, 47 and 118 of 256 bits at gamma = 0.2, 0.1 and 0.05; k -> 1 as
     # gamma grows: K as K(k) formed k' and lost 5, 32 and 62 bits at
-    # gamma = 10, 20 and 30
+    # gamma = 10, 20 and 30; q -> 1 as gamma grows: the theta series
+    # cancelled unseen, and k' lost 25 and 97 bits at gamma = 100 and 200
     with mp.workprec(1100):
         g = mpf(gs)
     got = elliptic_data_from_gamma(g, P)
