@@ -48,7 +48,7 @@ print("\n== disordered phase: smooth correction exponent (ice point) ==")
 with mp.workprec(352):
     ice = phase_params("d", mpf(0), pi / 3, p)
 taus_d = tau_sequence(ice, 20, p)[5:]        # N = 6..20
-kappa, const, resid = smooth_fit_D(taus_d, ice, p)
+_, kappa, const, resid = smooth_fit_D(taus_d, ice, p)
 print(f"  r_N ~ kappa log N + const: kappa = {kappa:.5f}, const = {const:.5f}"
       f" (max fit residual {resid:.2e})")
 print("  (reported, not asserted; -5/36 ~ -0.13889 is the known ice-point value)")

@@ -29,7 +29,7 @@ def build_parser():
                     "exact determinants, enumeration checks, asymptotics.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, phase=True, nrange=None):
+    def common(sp, nrange=None):
         # argparse applies type=int to a string default: a bad value exits 2
         sp.add_argument("--bits", type=int,
                         default=os.environ.get(ENV_BITS, "256"),
@@ -37,34 +37,31 @@ def build_parser():
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", help="write output to this path instead of stdout")
         sp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for bulk and density rows")
+                        help="worker processes for bulk and density rows (>= 1)")
         sp.add_argument("--config", help="JSON file with defaults for these flags")
-        if phase:
-            # not argparse-required so that --config can supply them
-            sp.add_argument("--phase", choices=PHASES)
-            sp.add_argument("--gamma", help="gamma as a decimal string")
-            grp = sp.add_mutually_exclusive_group()
-            grp.add_argument("--t", help="t as a decimal string")
-            grp.add_argument("--zeta", help="zeta = t/gamma as a decimal string")
+        # not argparse-required so that --config can supply them
+        sp.add_argument("--phase", choices=PHASES)
+        sp.add_argument("--gamma", help="gamma as a decimal string")
+        grp = sp.add_mutually_exclusive_group()
+        grp.add_argument("--t", help="t as a decimal string")
+        grp.add_argument("--zeta", help="zeta = t/gamma as a decimal string")
         if nrange:
             sp.add_argument("--n", default=nrange, help="N or N range 'lo..hi'")
 
     sp = sub.add_parser("exact", help="exact finite-N determinant data")
     common(sp, nrange="1..8")
 
-    sp = sub.add_parser("check", help="named cross-checks with pass/fail")
+    sp = sub.add_parser("check", help="named cross-checks with pass/fail",
+                        description="oracle and identities take no phase point; the "
+                        "rest default to --phase af --gamma 1, laplace to --phase d "
+                        "--gamma 1 --t 0.3.")
     sp.add_argument("target", choices=("toda", "oracle", "identities",
                                        "laplace", "derivative", "ode"))
     sp.add_argument("--imax", type=int, default=6,
                     help="laplace: highest moment checked")
     sp.add_argument("--ansatz-n", type=int, default=6,
                     help="ode (af): lattice size for the bilinear substitution")
-    common(sp, phase=False, nrange="1..5")
-    sp.add_argument("--phase", choices=PHASES, help="default af; laplace: d")
-    sp.add_argument("--gamma", default="1.0")
-    grp = sp.add_mutually_exclusive_group()
-    grp.add_argument("--t")
-    grp.add_argument("--zeta")
+    common(sp, nrange="1..5")
 
     sp = sub.add_parser("bulk", help="bulk free energy over a parameter grid")
     common(sp)
@@ -136,12 +133,18 @@ def main(argv=None):
     try:
         argv = _inject_config(argv)
         args = ap.parse_args(argv)
+        if args.jobs < 1:
+            raise ValueError("--jobs must be >= 1")
         if args.command != "check":
             for name in ("phase", "gamma"):
-                if getattr(args, name, None) is None:
-                    print(f"invalid input: --{name} is required "
-                          f"(flag or config file)", file=sys.stderr)
-                    return 2
+                if getattr(args, name) is None:
+                    raise ValueError(f"--{name} is required (flag or config file)")
+        elif args.target in ("oracle", "identities"):
+            given = [f"--{name}" for name in ("phase", "gamma", "t", "zeta")
+                     if getattr(args, name) is not None]
+            if given:
+                raise ValueError(f"check {args.target} runs a fixed suite "
+                                 f"and takes no {', '.join(given)}")
         from . import cli
         return cli.COMMANDS[args.command](args)
     except (PhaseDomainError, ValueError) as exc:

@@ -62,17 +62,18 @@ def subleading_AF_fit(taus, params: PhaseParams, p: Precision = Precision(),
 
 
 def smooth_fit_D(taus, params: PhaseParams, p: Precision = Precision()):
-    """Least-squares fit r_N = kappa log N + const in the d phase.
-
-    Returns (kappa, const, max_fit_residual) as floats; kappa is a reported
-    quantity (the smooth-correction exponent), not a checked one.
+    """Least-squares fit r_N = log(tau_N/c_N) - N^2 f = kappa log N + const
+    in the d phase.  Returns (r_N, kappa, const, max_fit_residual): the r_N
+    unrounded at bits+32, the fit as floats; kappa is a reported quantity
+    (the smooth-correction exponent), not a checked one.
     """
     if params.phase != PHASE_D:
         raise PhaseDomainError("power-law fit applies to d only")
     ns = _check_sequence(taus)
     with p.work():
         f = mpf(bulk_f(params, Precision(p.bits + 32)).f)
-        rs = [float(log(abs(tv.scaled_tau)) - tv.n ** 2 * f) for tv in taus]
+        ratios = [log(abs(tv.scaled_tau)) - tv.n ** 2 * f for tv in taus]
+    rs = [float(r) for r in ratios]
     xs = [math.log(n) for n in ns]
     n = len(xs)
     sx, sy = sum(xs), sum(rs)
@@ -81,4 +82,4 @@ def smooth_fit_D(taus, params: PhaseParams, p: Precision = Precision()):
     kappa = (n * sxy - sx * sy) / (n * sxx - sx * sx)
     const = (sy - kappa * sx) / n
     resid = max(abs(y - kappa * x - const) for x, y in zip(xs, rs))
-    return kappa, const, resid
+    return ratios, kappa, const, resid

@@ -11,16 +11,18 @@ Subcommands
 -----------
 exact    rows (N, log(tau_N/c_N), Z_N, log Z_N / N^2) over an N range
 check    named cross-checks (toda | oracle | identities | laplace |
-         derivative | ode) with pass/fail and measured residuals
+         derivative | ode) with pass/fail and measured residuals; oracle
+         and identities run fixed suites, the rest one phase point
 bulk     free energy, z_limit and endpoints over a parameter grid
 density  (mu, rho) samples with saturated intervals annotated
-fit      theta-modulated ratios r_N and their spread (af), or the
-         smooth-correction exponent report (d)
+fit      r_N as asymptotics.fits forms it: theta-modulated with their
+         spread (af), or with the smooth-correction exponent report (d)
 
 Parameters are decimal strings parsed directly at the requested binary
-precision (no double round-trip).  Each command parses its input once and
-hands the parsed objects (PhaseParams, SaddleGeometry, mpf mu) to its rows,
-in process or pickled to the --jobs pool.  Output is CSV (default) or JSON
+precision (no double round-trip), a point's flags by ``_phase_point`` alone.
+Each command parses its input once and hands the parsed objects
+(PhaseParams, SaddleGeometry, mpf mu) to its rows, in process or pickled to
+the --jobs pool.  Output is CSV (default) or JSON
 on stdout or --out; identical configurations produce byte-identical output.
 A command returns its exit code (0 success / all checks pass, 1 a check
 failed) or raises.
@@ -117,18 +119,22 @@ def _emit(rows, header, args, meta=None):
         sys.stdout.write(text)
 
 
-def _phase_point(phase, gamma, p, t=None, zeta=None):
-    """phase_params at t (default 0), or at t = zeta * gamma formed at
-    bits + 96; phase_params parses the decimal strings to bits + 64 itself."""
+def _phase_point(args, p, t=None, zeta=None):
+    """phase_params at args' phase, gamma and t (default 0), or at t = zeta *
+    gamma formed at bits + 96; a t or zeta given (a bulk grid value) replaces
+    args'.  phase_params parses the decimal strings to bits + 64 itself."""
+    t = args.t if t is None else t
+    zeta = args.zeta if zeta is None else zeta
     if zeta is not None:
         with mp.workprec(p.bits + 96):
-            t = mpf(zeta) * mpf(gamma)
-    return phase_params(phase, "0" if t is None else t, gamma, p)
+            t = mpf(zeta) * mpf(args.gamma)
+    return phase_params(args.phase, "0" if t is None else t, args.gamma, p)
 
 
-def _params_from_args(args, p):
-    return _phase_point(args.phase, args.gamma, p, args.t,
-                        getattr(args, "zeta", None))
+def _meta(prm, bits, **extra):
+    """The JSON meta of a command run at one phase point."""
+    return {"phase": prm.phase, "t": _fmt(prm.t, bits),
+            "gamma": _fmt(prm.gamma, bits), "bits": bits, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +177,7 @@ def _by_n(sequence, prm, ns, p):
 
 def cmd_exact(args):
     p = Precision(args.bits)
-    prm = _params_from_args(args, p)
+    prm = _phase_point(args, p)
     rows = []
     taus = _by_n(tau_sequence, prm, parse_int_range(args.n), p)
     for tv, z in zip(taus, z_from_tau(prm, taus, p)):
@@ -180,9 +186,8 @@ def cmd_exact(args):
         rows.append((tv.n, _fmt(tv.log_scaled, args.bits), _fmt(z, args.bits),
                      _fmt(logz_n2, args.bits)))
     header = ["N", "log_tau_scaled", "Z", "log_Z_over_N2"]
-    meta = {"phase": prm.phase, "t": _fmt(prm.t, args.bits),
-            "gamma": _fmt(prm.gamma, args.bits), "bits": args.bits,
-            "note": "log_tau_scaled = log|tau_N/c_N|, c_N = (prod n!)^2"}
+    meta = _meta(prm, args.bits,
+                 note="log_tau_scaled = log|tau_N/c_N|, c_N = (prod n!)^2")
     _emit(rows, header, args, meta)
     return 0
 
@@ -191,7 +196,7 @@ def cmd_bulk(args):
     p = Precision(args.bits)
     axis = "zeta" if args.zeta is not None else "t"
     # every row is validated before any is computed
-    prms = [_phase_point(args.phase, args.gamma, p, **{axis: x})
+    prms = [_phase_point(args, p, **{axis: x})
             for x in parse_grid(getattr(args, axis))]
     rows = _map_jobs(partial(_bulk_row, bits=args.bits), prms, args.jobs)
     header = ["zeta", "t", "f", "z_limit", "alpha", "alpha_prime",
@@ -207,7 +212,7 @@ def cmd_density(args):
     if args.grid < 1:
         raise ValueError("--grid must be >= 1")
     p = Precision(args.bits)
-    prm = _params_from_args(args, p)
+    prm = _phase_point(args, p)
     geom = asymptotics.endpoints(prm, p)
     sat, bound = geom.saturated, geom.bound
     lo, hi = (rounded(end, p) for end in geom.support)
@@ -218,14 +223,11 @@ def cmd_density(args):
     rows = [(_fmt(mu, args.bits), _fmt(rho, args.bits))
             for mu, rho in zip(mus, rhos)]
     header = ["mu", "rho"]
-    meta = {
-        "phase": prm.phase, "t": _fmt(prm.t, args.bits),
-        "gamma": _fmt(prm.gamma, args.bits), "bits": args.bits,
-        "support": [_fmt(lo, args.bits), _fmt(hi, args.bits)],
-        "saturated_intervals": [[_fmt(a, args.bits), _fmt(b, args.bits)]
-                                for (a, b) in sat],
-        "bound": "inf" if bound == mp.inf else _fmt(bound, args.bits),
-    }
+    meta = _meta(
+        prm, args.bits, support=[_fmt(lo, args.bits), _fmt(hi, args.bits)],
+        saturated_intervals=[[_fmt(a, args.bits), _fmt(b, args.bits)]
+                             for (a, b) in sat],
+        bound="inf" if bound == mp.inf else _fmt(bound, args.bits))
     if args.format == "csv":
         # annotate saturation in-band for plot-ready CSV
         rows = [(*row, int(any(a <= mu <= b for (a, b) in sat)))
@@ -237,33 +239,22 @@ def cmd_density(args):
 
 def cmd_fit(args):
     p = Precision(args.bits)
-    prm = _params_from_args(args, p)
+    prm = _phase_point(args, p)
     if prm.phase not in (PHASE_AF, PHASE_D):
         raise PhaseDomainError("fit supports the af and d phases")
     ns = parse_int_range(args.n)
     taus = _by_n(tau_sequence, prm, ns, p)
     if prm.phase == PHASE_AF:
         ratios, spread = asymptotics.subleading_AF_fit(taus, prm, p)
-        rows = [(n, _fmt(r, args.bits)) for n, r in zip(ns, ratios)]
-        header = ["N", "r_N"]
-        meta = {"phase": prm.phase, "t": _fmt(prm.t, args.bits),
-                "gamma": _fmt(prm.gamma, args.bits), "bits": args.bits,
-                "spread_top_half": _fmt(spread, args.bits),
-                "note": "r_N = log(tau_N/c_N) - N^2 f - log theta4((pi/2)(1+zeta)N)"}
+        meta = _meta(prm, args.bits, spread_top_half=_fmt(spread, args.bits),
+                     note="r_N = log(tau_N/c_N) - N^2 f - log theta4((pi/2)(1+zeta)N)")
     else:
-        kappa, const, resid = asymptotics.smooth_fit_D(taus, prm, p)
-        # r_N as in asymptotics.fits, not from the rounded log_scaled
-        f = asymptotics.bulk_f(prm, Precision(p.bits + 32)).f
-        with p.work():
-            rows = [(tv.n, _fmt(mp.log(abs(tv.scaled_tau)) - tv.n ** 2 * f,
-                                args.bits)) for tv in taus]
-        header = ["N", "r_N"]
-        meta = {"phase": prm.phase, "t": _fmt(prm.t, args.bits),
-                "gamma": _fmt(prm.gamma, args.bits), "bits": args.bits,
-                "kappa_fit": repr(kappa),
-                "const_fit": repr(const), "max_fit_residual": repr(resid),
-                "note": "r_N = log(tau_N/c_N) - N^2 f; kappa reported, not asserted"}
-    _emit(rows, header, args, meta)
+        ratios, kappa, const, resid = asymptotics.smooth_fit_D(taus, prm, p)
+        meta = _meta(prm, args.bits, kappa_fit=repr(kappa),
+                     const_fit=repr(const), max_fit_residual=repr(resid),
+                     note="r_N = log(tau_N/c_N) - N^2 f; kappa reported, not asserted")
+    rows = [(n, _fmt(r, args.bits)) for n, r in zip(ns, ratios)]
+    _emit(rows, ["N", "r_N"], args, meta)
     return 0
 
 
@@ -280,11 +271,17 @@ def _check_report(names_vals_tols):
 
 def cmd_check(args):
     p = Precision(args.bits)
-    phase = args.phase or (PHASE_D if args.target == "laplace" else PHASE_AF)
-    point = partial(_phase_point, phase, args.gamma, p, zeta=args.zeta)
     checks = []
+    if args.target not in ("oracle", "identities"):   # their suites are fixed
+        laplace = args.target == "laplace"
+        args.phase = args.phase or (PHASE_D if laplace else PHASE_AF)
+        if laplace and args.phase != PHASE_D:
+            raise PhaseDomainError("check laplace runs the d phase only")
+        args.gamma = "1.0" if args.gamma is None else args.gamma
+        if laplace and args.t is None:
+            args.t = "0.3"
+        prm = _phase_point(args, p)
     if args.target == "toda":
-        prm = point(args.t)
         tol = mpf(2) ** (-p.bits // 2 + 16)
         ns = parse_int_range(args.n)
         for n, resid in zip(ns, _by_n(toda_residuals, prm, ns, p)):
@@ -308,13 +305,9 @@ def cmd_check(args):
     elif args.target == "identities":
         checks = identity_checks(p)
     elif args.target == "laplace":
-        if phase != PHASE_D:
-            raise PhaseDomainError("check laplace runs the d phase only")
-        prm = point(args.t or "0.3")
         checks.append(("laplace_moments_max_err",
                        laplace_moment_check(prm, args.imax, p), mpf("1e-10")))
     elif args.target == "derivative":
-        prm = point(args.t)
         ep, closed = asymptotics.dfdzeta(prm, p)
         with p.work():
             checks.append(("dfdzeta_endpoint_vs_closed", ep - closed, mpf("1e-8")))
@@ -323,7 +316,6 @@ def cmd_check(args):
             checks.append(("chemical_potential_residual",
                            asymptotics.chemb_residual(prm, geom, p), mpf("1e-8")))
     elif args.target == "ode":
-        prm = point(args.t)
         if prm.phase == PHASE_AF:
             checks.append(("toda_of_theta_ansatz",
                            asymptotics.ode_check(prm, p, n=args.ansatz_n),

@@ -866,8 +866,8 @@ class TestFits:
         p = Precision(320)
         with mp.workprec(360):
             prm = phase_params("d", mpf(0), pi / 3, p)
-        k1, _, _ = smooth_fit_D(self._taus(prm, p, 6, 16), prm, p)
-        k2, _, _ = smooth_fit_D(self._taus(prm, p, 10, 20), prm, p)
+        _, k1, _, _ = smooth_fit_D(self._taus(prm, p, 6, 16), prm, p)
+        _, k2, _, _ = smooth_fit_D(self._taus(prm, p, 10, 20), prm, p)
         assert abs(k1 - k2) < 0.01
         # report scale: the ice-point exponent is near -5/36 ~ -0.1389
         assert -0.25 < k1 < -0.05

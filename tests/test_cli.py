@@ -1,8 +1,11 @@
 """Command-line front end: golden values, determinism, exit codes, formats."""
 
 import csv
+import importlib
+import importlib.util
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,8 +15,27 @@ from sixvertex import cli
 from sixvertex.cli import main, parse_grid, parse_int_range
 from sixvertex.oracle import MAX_ENUM_N
 
-PERFBENCH_REFERENCE = (Path(__file__).resolve().parent.parent / "perfbench"
-                       / "reference.json")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PERFBENCH_REFERENCE = PERFBENCH / "reference.json"
+
+
+def _load_perfbench():
+    """perfbench's workloads and check modules, check loaded by path; both
+    import from perfbench/ as their top level.  check's dataclasses need it
+    in sys.modules while it runs."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_check", PERFBENCH / "check.py")
+        check = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return workloads, check
+
+
+WORKLOADS, PERFBENCH_CHECK = _load_perfbench()
 
 
 def run(argv, capsys):
@@ -113,6 +135,16 @@ def test_jobs_match_serial(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["bulk", "density"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(command, jobs, capsys):
+    # a count below 1 used to run serially and exit 0
+    code, out, err = run([command, "--phase", "d", "--gamma", "1", "--zeta",
+                          "0.1", "--bits", "96", "--jobs", jobs], capsys)
+    assert code == 2 and out == ""
+    assert "--jobs must be >= 1" in err
+
+
 @pytest.mark.parametrize("point", [
     ["--phase", "af", "--gamma", "1", "--zeta", "0.4", "--grid", "3"],
     ["--phase", "d", "--gamma", "1", "--zeta", "0.3", "--grid", "5"],
@@ -175,10 +207,14 @@ def test_check_toda_passes(capsys):
 
 
 def test_check_oracle_passes(capsys):
+    # with no point flag it checks its three fixed points at every N
     code, out, _ = run(["check", "oracle", "--n", "1..3", "--bits", "192"],
                        capsys)
     assert code == 0
-    assert all(line.endswith("pass") for line in out.strip().splitlines()[1:])
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == [
+        f"oracle_{phase}_N{n}" for n in (1, 2, 3) for phase in ("fe", "d", "af")]
+    assert all(row[3] == "pass" for row in rows)
 
 
 def test_check_oracle_beyond_enumeration_range_exits_2(capsys):
@@ -186,6 +222,28 @@ def test_check_oracle_beyond_enumeration_range_exits_2(capsys):
                         "--bits", "64"], capsys)
     assert code == 2
     assert "outside supported enumeration range" in err
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["oracle", "--phase", "fe", "--gamma", "0.4", "--n", "1..2"],
+     ["--phase", "--gamma"]),
+    (["identities", "--t", "0.3"], ["--t"]),
+    (["identities", "--zeta=-0.2"], ["--zeta"]),
+])
+def test_check_fixed_suites_refuse_a_phase_point(argv, flags, capsys):
+    # oracle and identities run fixed points; they used to ignore these
+    code, out, err = run(["check", *argv, "--bits", "96"], capsys)
+    assert code == 2 and out == ""
+    assert all(flag in err for flag in flags), err
+
+
+def test_check_oracle_refuses_a_phase_point_from_config(tmp_path, capsys):
+    cfg = tmp_path / "point.json"
+    cfg.write_text(json.dumps({"phase": "af", "gamma": "1"}))
+    code, out, err = run(["check", "oracle", "--config", str(cfg),
+                          "--n", "1..2", "--bits", "96"], capsys)
+    assert code == 2 and out == ""
+    assert "--phase" in err and "--gamma" in err
 
 
 def test_check_identities_passes(capsys):
@@ -269,6 +327,19 @@ def test_check_rows_match_perfbench_reference(command, rows, capsys):
         [(c, t, s) for c, _, t, s in rows]
 
 
+@pytest.mark.parametrize("command", [
+    pytest.param(command, id=command) for name in WORKLOADS.WORKLOADS
+    for command in WORKLOADS.commands(name)])
+def test_benchmark_rows_pass_its_own_check(command, monkeypatch, capsys):
+    # the default-seed commands of every workload, judged by the benchmark's
+    # row check: each requested row delivered with its digits, none wrong
+    monkeypatch.delenv("SIXVERTEX_BITS", raising=False)
+    code, out, err = run(command.split(), capsys)
+    ref = PERFBENCH_CHECK.load_reference()[command]
+    result = PERFBENCH_CHECK.check_output(command, ref, code, out, err)
+    assert result.ok == result.requested and not result.wrong, result.problems
+
+
 def test_bulk_grid_rows(capsys):
     code, out, _ = run(["bulk", "--phase", "af", "--gamma", "1", "--zeta",
                         "-0.9..0.9..0.1", "--bits", "96"], capsys)
@@ -330,6 +401,33 @@ def test_fit_af_json(capsys):
     payload = json.loads(out)
     assert payload["meta"]["spread_top_half"]
     assert len(payload["rows"]) == 8
+
+
+def test_fit_d_prints_the_ratios_of_one_bulk_f(monkeypatch, capsys):
+    # r_N comes from smooth_fit_D, whose bulk f is the only one computed
+    from sixvertex import asymptotics
+    calls, fitted = [], []
+    bulk_f, smooth_fit_D = asymptotics.bulk_f, asymptotics.smooth_fit_D
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return bulk_f(*args, **kwargs)
+
+    def recording(*args, **kwargs):
+        fitted.append(smooth_fit_D(*args, **kwargs))
+        return fitted[-1]
+
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("sixvertex") \
+                and getattr(module, "bulk_f", None) is bulk_f:
+            monkeypatch.setattr(module, "bulk_f", counting)
+    monkeypatch.setattr(asymptotics, "smooth_fit_D", recording)
+    code, out, _ = run(["fit", "--phase", "d", "--gamma", "1", "--t", "0.3",
+                        "--n", "2..12", "--bits", "128"], capsys)
+    assert code == 0 and len(calls) == 1 and len(fitted) == 1
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert rows == [[str(n), cli._fmt(r, 128)]
+                    for n, r in zip(range(2, 13), fitted[0][0])]
 
 
 def test_fit_refuses_fe_before_computing_tau(monkeypatch, capsys):
