@@ -14,7 +14,7 @@ pins down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpf, cos, exp, log, pi, sinh, cosh, tan
 
@@ -26,8 +26,7 @@ from ..specfun import elliptic_data_from_gamma, theta, theta_all
 from .geometry import endpoints
 
 
-@dataclass(frozen=True)
-class FreeEnergy:
+class FreeEnergy(NamedTuple):
     """f (determinant normalization), F = -log(ab) - f, and lim Z^(1/N^2)."""
 
     f: object

@@ -11,7 +11,7 @@ exposed as a residual check, on the independent Landen route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpf, tan, tanh, cosh, sinh, pi
 
@@ -22,8 +22,7 @@ from ..specfun import (EllipticData, _landen, elliptic_data_from_gamma,
                        theta_all)
 
 
-@dataclass(frozen=True)
-class SaddleGeometry:
+class SaddleGeometry(NamedTuple):
     """Support endpoints of the limiting eigenvalue density, kept to bits+32.
 
     fe: alpha = coth(t_e/2), beta = tanh(t_e/2) with t_e = t - |gamma| > 0;

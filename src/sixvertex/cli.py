@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import sys
 from functools import partial
 
@@ -103,6 +102,7 @@ def parse_grid(text):
 
 def _emit(rows, header, args, meta=None):
     if args.format == "json":
+        import json   # here: only --format json writes JSON
         payload = {"meta": meta or {}, "columns": header,
                    "rows": [dict(zip(header, r)) for r in rows]}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

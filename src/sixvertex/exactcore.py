@@ -38,9 +38,9 @@ products themselves are most of the cost, and the gain falls to 1.2-2x."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial
 from operator import mul
+from typing import NamedTuple
 
 from mpmath import mp, mpf, sin, cos, sinh, cosh, exp, log, nint, pi, quad
 
@@ -58,8 +58,7 @@ PHASE_D = "d"
 PHASE_AF = "af"
 
 
-@dataclass(frozen=True)
-class PhaseParams:
+class PhaseParams(NamedTuple):
     """Validated phase point.  zeta = t/gamma.  All three carry bits + 64
     of the Precision they were built at."""
 
@@ -69,8 +68,7 @@ class PhaseParams:
     zeta: object
 
 
-@dataclass(frozen=True)
-class Weights:
+class Weights(NamedTuple):
     a: object
     b: object
     c: object
@@ -93,8 +91,7 @@ def _d2f_af(t, g, p: Precision):
     return -(pi / (2 * g)) ** 2 * (d2 / th - (d1 / th) ** 2)
 
 
-@dataclass(frozen=True)
-class Phase:
+class Phase(NamedTuple):
     """One phase: its region as (test(t, gamma), PhaseDomainError text)
     pairs, checked in order; the sign s of F'' = s F (F = sinh for s = 1,
     sin for s = -1) and of y' = s - y^2, which y = F'/F solves; the bulk
@@ -272,8 +269,7 @@ def phi_derivatives(params: PhaseParams, order_max: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TauValue:
+class TauValue(NamedTuple):
     """tau_N / c_N at one phase point, with the logarithm of its magnitude."""
 
     n: int

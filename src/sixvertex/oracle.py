@@ -11,8 +11,8 @@ bijection is used, so the count doubles as a check of that correspondence.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from mpmath import mpf
 
@@ -50,8 +50,7 @@ for _pat, _kind in _VERTEX_KIND.items():
 _UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-@dataclass(frozen=True)
-class EnumResult:
+class EnumResult(NamedTuple):
     """Vertex-type census of every DWBC configuration at size n."""
 
     n: int

@@ -10,7 +10,7 @@ a small g.  The fixed-point integer helpers that the integer loops of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from mpmath import mp
 
@@ -19,15 +19,15 @@ from mpmath import mp
 GUARD_BITS = 32
 
 
-@dataclass(frozen=True)
-class Precision:
+class Precision(namedtuple("Precision", "bits")):
     """Binary precision of real arithmetic (mantissa bits)."""
 
-    bits: int = 256
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bits < 64:
+    def __new__(cls, bits: int = 256):
+        if bits < 64:
             raise ValueError("Precision.bits must be >= 64")
+        return super().__new__(cls, bits)
 
     def work(self, extra: int = GUARD_BITS):
         """Context manager running the enclosed block at bits+extra."""

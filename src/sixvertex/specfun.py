@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from mpmath import mp, mpf, sqrt, sin, cos, cos_sin, asin, exp, pi
 
@@ -40,8 +40,7 @@ from .precision import Precision, fixed, rounded, shr
 GUARD_HALF = 16
 
 
-@dataclass(frozen=True)
-class EllipticData:
+class EllipticData(NamedTuple):
     """Modulus/period bundle: k, k', K(k), K'(k) and the nome q."""
 
     k: object

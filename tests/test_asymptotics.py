@@ -13,7 +13,6 @@ closed theta form and the exact finite-N data confirm; see the sign tests
 below).
 """
 
-import dataclasses
 import functools
 
 import mpmath
@@ -906,8 +905,6 @@ def _sweep_point(phase, t, g, p):
 
 def _flat(x):
     """The numbers in a record, tuple or list, nested, Nones dropped."""
-    if dataclasses.is_dataclass(x):
-        x = dataclasses.astuple(x)
     if isinstance(x, (tuple, list)):
         for y in x:
             yield from _flat(y)

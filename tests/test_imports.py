@@ -3,7 +3,9 @@ the command line answers help and usage errors before any numeric module
 loads, while ``import sixvertex.cli`` still loads every layer."""
 
 import argparse
+import csv
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -21,13 +23,14 @@ NUMERIC = {"mpmath", "sixvertex.exactcore"}
 
 def loaded_after(code):
     """The module names in sys.modules after running code in a fresh
-    interpreter on this checkout's sources."""
+    interpreter on this checkout's sources (listed without importing json,
+    so a code path that loads json shows it)."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    script = f"{code}\nimport sys\nprint(' '.join(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 HELP_AND_USAGE_ERRORS = """
@@ -82,15 +85,61 @@ def test_every_subcommand_has_a_command():
     assert list(sub.choices) == list(cli.COMMANDS)
 
 
-def test_cli_import_loads_every_traced_layer():
-    # perfbench's trace shim imports sixvertex.cli, then wraps the public
-    # functions of each layer module it finds in sys.modules
+def _trace_shim():
+    """perfbench's trace shim, loaded by path: it imports sixvertex.cli,
+    then wraps the public functions of each layer module in sys.modules."""
     path = ROOT / "perfbench" / "traceshim.py"
     spec = importlib.util.spec_from_file_location("traceshim", path)
     shim = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(shim)
+    return shim
+
+
+def test_cli_import_loads_every_traced_layer():
+    shim = _trace_shim()
     assert len(shim.LAYERS) == 7
     assert set(shim.LAYERS) <= loaded_after("import sixvertex.cli")
+
+
+def test_trace_shim_selects_functions_not_records():
+    # the shim's own filter: public, callable, not a type, defined in the
+    # layer; records (NamedTuple classes) are types, so none is wrapped and
+    # the per-layer metrics count the same 36 functions as with dataclasses
+    shim = _trace_shim()
+    selected = {name for modname in shim.LAYERS
+                for name, obj in vars(sys.modules[modname]).items()
+                if not name.startswith("_") and callable(obj)
+                and not isinstance(obj, type)
+                and getattr(obj, "__module__", None) == modname}
+    records = {"PhaseParams", "Weights", "Phase", "TauValue", "EllipticData",
+               "EnumResult", "FreeEnergy", "SaddleGeometry", "Precision"}
+    assert not records & selected
+    assert {"tau_sequence", "toda_residuals", "theta_all", "endpoints",
+            "bulk_f", "rho_at", "enumerate_dwbc"} <= selected
+    assert len(selected) == 36
+
+
+EXACT = ["exact", "--phase", "af", "--gamma", "1", "--t", "0.3", "--n", "1..4",
+         "--bits", "96"]
+
+
+def test_cli_import_and_a_command_load_no_dataclasses_inspect_or_json():
+    loaded = loaded_after("import sixvertex.cli\n"
+                          "from sixvertex.argv import main\n"
+                          f"assert main({EXACT!r}) == 0")
+    assert "sixvertex.exactcore" in loaded
+    assert not {"dataclasses", "inspect", "json"} & loaded
+
+
+def test_json_format_loads_json_and_writes_the_csv_rows(capsys):
+    assert "json" in loaded_after("from sixvertex.argv import main\n"
+                                  f"assert main({EXACT + ['--format', 'json']!r}) == 0")
+    assert argv.main(EXACT) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert argv.main(EXACT + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert rows[0] == payload["columns"] and len(rows) == 5
+    assert rows[1:] == [[str(r[c]) for c in rows[0]] for r in payload["rows"]]
 
 
 def test_console_script_loads_no_numeric_code():

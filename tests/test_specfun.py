@@ -270,19 +270,34 @@ def test_landen_zeta_against_incomplete_E(ks):
             assert abs(z - ref) <= mpf(2) ** (-bits + 8) * max(1, abs(ref)), us
 
 
-@pytest.mark.parametrize("ks", ["1e-8", "1e-12", "1e-20", "0.3", "0.9"])
+# The kernels in the thermodynamic sweep's form: the same exact decimal
+# inputs at 256 and at 1024 bits agree to 2^(-256+8) relative, with k near
+# 0 and near 1, q near 0 and near 1 (af gamma = 0.05 to 200), and z away
+# from the zeros of theta_j and of its derivatives.
+SWEEP_HI = Precision(1024)
+
+
+def _assert_sweep(run, what):
+    """run(p) at P and at SWEEP_HI agree value by value to 2^(-248) relative."""
+    got, ref = run(P), run(SWEEP_HI)
+    assert len(got) == len(ref)
+    with mp.workprec(1100):
+        for i, (x, r) in enumerate(zip(got, ref)):
+            assert abs(x - r) <= TOL * abs(r), (what, i, mp.nstr(abs(x / r - 1), 5))
+
+
+@pytest.mark.parametrize("ks", ["1e-8", "1e-12", "1e-20", "0.3", "0.9",
+                                "0.999999", "0.999999999999"])
 def test_agm_relative_digits_at_small_modulus(ks):
-    # Z is about k^2 sin(2u)/4 at small k: c_n = (a_(n-1) - b_(n-1))/2
-    # cancelled and lost 20, 49 and 102 of 256 bits at k = 1e-8, 1e-12, 1e-20
+    # K, E, sn/cn/dn and Z from the AGM of 1 and k'.  Z is about
+    # k^2 sin(2u)/4 at small k: c_n = (a_(n-1) - b_(n-1))/2 cancelled and
+    # lost 20, 49 and 102 of 256 bits at k = 1e-8, 1e-12, 1e-20
     with mp.workprec(1100):
-        u, k = mpf("0.37"), mpf(ks)
-    hi = Precision(1024)
-    pairs = [(jacobi_zeta(u, k, P), jacobi_zeta(u, k, hi)),
-             (elliptic_E(k, P), elliptic_E(k, hi)),
-             *zip(jacobi_sn_cn_dn(u, k, P), jacobi_sn_cn_dn(u, k, hi))]
-    with mp.workprec(1100):
-        for got, ref in pairs:
-            assert abs(got - ref) <= TOL * abs(ref)
+        k, us = mpf(ks), (mpf("0.37"), mpf("1.1"))
+    _assert_sweep(lambda p: [elliptic_K(k, p), elliptic_E(k, p)], ks)
+    for u in us:
+        _assert_sweep(lambda p: [*jacobi_sn_cn_dn(u, k, p),
+                                 jacobi_zeta(u, k, p)], (ks, u))
 
 
 @pytest.mark.parametrize("gs", ["0.05", "0.1", "0.2", "1", "5", "20", "30",
@@ -292,15 +307,21 @@ def test_elliptic_data_relative_digits_at_small_gamma(gs):
     # 13, 47 and 118 of 256 bits at gamma = 0.2, 0.1 and 0.05; k -> 1 as
     # gamma grows: K as K(k) formed k' and lost 5, 32 and 62 bits at
     # gamma = 10, 20 and 30; q -> 1 as gamma grows: the theta series
-    # cancelled unseen, and k' lost 25 and 97 bits at gamma = 100 and 200
+    # cancelled unseen, and k' lost 25 and 97 bits at gamma = 100 and 200.
+    # theta_all runs at the af nome q = exp(-pi^2/(2 gamma)), 1e-43 to 0.976
     with mp.workprec(1100):
         g = mpf(gs)
-    got = elliptic_data_from_gamma(g, P)
-    ref = elliptic_data_from_gamma(g, Precision(1024))
-    with mp.workprec(1100):
-        for field in ("k", "kprime", "bigK", "bigKprime", "q"):
-            assert abs(getattr(got, field) - getattr(ref, field)) \
-                <= TOL * abs(getattr(ref, field)), field
+        q = exp(-pi ** 2 / (2 * g))
+
+    def data(p):
+        d = elliptic_data_from_gamma(g, p)
+        return d.k, d.kprime, d.bigK, d.bigKprime, d.q
+
+    _assert_sweep(data, gs)
+    for zs in ("0.41", "1.3"):
+        z = mpf(zs)
+        _assert_sweep(lambda p: [x for row in theta_all(z, q, p) for x in row],
+                      (gs, zs))
 
 
 def test_one_agm_per_modulus():
