@@ -28,56 +28,71 @@ def build_parser():
         description="Six-vertex model with domain wall boundary conditions: "
                     "exact determinants, enumeration checks, asymptotics.")
     sub = ap.add_subparsers(dest="command", required=True)
+    # the flags every command takes, copied into each parser by parents=
+    base = argparse.ArgumentParser(add_help=False)
+    # argparse applies type=int to a string default: a bad value exits 2
+    base.add_argument("--bits", type=int, default=os.environ.get(ENV_BITS, "256"),
+                      help=f"binary precision (default 256 or ${ENV_BITS})")
+    base.add_argument("--format", choices=("csv", "json"), default="csv")
+    base.add_argument("--out", help="write output to this path instead of stdout")
+    base.add_argument("--jobs", type=int, default=1,
+                      help="worker processes for bulk and density rows (>= 1)")
+    base.add_argument("--config", help="JSON file with defaults for these flags")
 
-    def common(sp, nrange=None):
-        # argparse applies type=int to a string default: a bad value exits 2
-        sp.add_argument("--bits", type=int,
-                        default=os.environ.get(ENV_BITS, "256"),
-                        help=f"binary precision (default 256 or ${ENV_BITS})")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--out", help="write output to this path instead of stdout")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for bulk and density rows (>= 1)")
-        sp.add_argument("--config", help="JSON file with defaults for these flags")
-        # not argparse-required so that --config can supply them
-        sp.add_argument("--phase", choices=PHASES)
-        sp.add_argument("--gamma", help="gamma as a decimal string")
-        grp = sp.add_mutually_exclusive_group()
-        grp.add_argument("--t", help="t as a decimal string")
-        grp.add_argument("--zeta", help="zeta = t/gamma as a decimal string")
-        if nrange:
-            sp.add_argument("--n", default=nrange, help="N or N range 'lo..hi'")
+    def command(subs, name, help, n=None, phases=None, **point):
+        """A parser with the base flags, --n with default n, and the phase
+        point with --phase limited to phases.  A check target passes its
+        point defaults; elsewhere --phase and --gamma are required (a
+        --config file can supply them)."""
+        sp = subs.add_parser(name, help=help, parents=[base])
+        if phases:
+            sp.add_argument("--phase", choices=phases, required=not point)
+            sp.add_argument("--gamma", required=not point,
+                            help="gamma as a decimal string")
+            grp = sp.add_mutually_exclusive_group()
+            grp.add_argument("--t", help="t as a decimal string")
+            grp.add_argument("--zeta", help="zeta = t/gamma as a decimal string")
+            sp.set_defaults(**point)
+        if n:
+            sp.add_argument("--n", default=n, help="N or N range 'lo..hi'")
+        return sp
 
-    sp = sub.add_parser("exact", help="exact finite-N determinant data")
-    common(sp, nrange="1..8")
+    command(sub, "exact", "exact finite-N determinant data", n="1..8",
+            phases=PHASES)
 
     sp = sub.add_parser("check", help="named cross-checks with pass/fail",
-                        description="oracle and identities take no phase point; the "
-                        "rest default to --phase af --gamma 1, laplace to --phase d "
-                        "--gamma 1 --t 0.3.")
-    sp.add_argument("target", choices=("toda", "oracle", "identities",
-                                       "laplace", "derivative", "ode"))
-    sp.add_argument("--imax", type=int, default=6,
-                    help="laplace: highest moment checked")
-    sp.add_argument("--ansatz-n", type=int, default=6,
-                    help="ode (af): lattice size for the bilinear substitution")
-    common(sp, nrange="1..5")
+                        description="Flags follow the target.  toda, derivative "
+                        "and ode default to --phase af --gamma 1, laplace to "
+                        "--phase d --gamma 1 --t 0.3.")
+    target = sp.add_subparsers(dest="target", required=True)
+    af = {"phase": "af", "gamma": "1.0"}
+    command(target, "toda", "bilinear (Toda) residuals of tau_N", n="1..5",
+            phases=PHASES, **af)
+    command(target, "oracle", "Z_N against enumeration at fixed fe, d and af "
+            "points", n="1..5")
+    command(target, "identities", "elliptic and theta identities")
+    sp = command(target, "laplace", "Laplace moments (d phase)", phases=("d",),
+                 phase="d", gamma="1.0", t="0.3")
+    sp.add_argument("--imax", type=int, default=6, help="highest moment checked")
+    command(target, "derivative", "df/dzeta identities", phases=PHASES, **af)
+    sp = command(target, "ode", "the bulk free energy's ODE", phases=PHASES, **af)
+    sp.add_argument("--ansatz-n", type=int,
+                    help="af only: lattice size for the bilinear substitution")
 
-    sp = sub.add_parser("bulk", help="bulk free energy over a parameter grid")
-    common(sp)
-
-    sp = sub.add_parser("density", help="limiting eigenvalue density profile")
-    common(sp)
+    command(sub, "bulk", "bulk free energy over a parameter grid", phases=PHASES)
+    sp = command(sub, "density", "limiting eigenvalue density profile",
+                 phases=PHASES)
     sp.add_argument("--grid", type=int, default=100, help="number of samples")
-
-    sp = sub.add_parser("fit", help="subleading-correction ratios and spread")
-    common(sp, nrange="2..16")
+    command(sub, "fit", "subleading-correction ratios and spread", n="2..16",
+            phases=("af", "d"))
     return ap
 
 
 def _inject_config(argv):
-    """Expand --config FILE into synthetic flags placed before the explicit
-    ones, so explicit flags keep precedence (argparse takes the last value)."""
+    """Expand --config FILE into synthetic flags placed after the command
+    (and check target) and before the first explicit flag.  argparse keeps
+    the last value, so explicit flags win, abbreviated ones (--gam) too; a
+    flag given explicitly, or t or zeta when either is, is skipped."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
@@ -88,10 +103,6 @@ def _inject_config(argv):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    sub_idx = next((i for i, tok in enumerate(argv) if not tok.startswith("-")),
-                   None)
-    if sub_idx is None:
-        return argv
     explicit = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
     mutex = {"--t", "--zeta"}
     flags = []
@@ -102,7 +113,8 @@ def _inject_config(argv):
         if flag in mutex and (explicit & mutex):
             continue
         flags.append(f"{flag}={value}")
-    return argv[:sub_idx + 1] + flags + argv[sub_idx + 1:]
+    at = next((i for i, tok in enumerate(argv) if tok.startswith("-")), len(argv))
+    return argv[:at] + flags + argv[at:]
 
 
 _VALUE_FLAGS = ("--t", "--zeta", "--gamma", "--n")
@@ -135,16 +147,6 @@ def main(argv=None):
         args = ap.parse_args(argv)
         if args.jobs < 1:
             raise ValueError("--jobs must be >= 1")
-        if args.command != "check":
-            for name in ("phase", "gamma"):
-                if getattr(args, name) is None:
-                    raise ValueError(f"--{name} is required (flag or config file)")
-        elif args.target in ("oracle", "identities"):
-            given = [f"--{name}" for name in ("phase", "gamma", "t", "zeta")
-                     if getattr(args, name) is not None]
-            if given:
-                raise ValueError(f"check {args.target} runs a fixed suite "
-                                 f"and takes no {', '.join(given)}")
         from . import cli
         return cli.COMMANDS[args.command](args)
     except (PhaseDomainError, ValueError) as exc:

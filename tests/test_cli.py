@@ -39,7 +39,11 @@ WORKLOADS, PERFBENCH_CHECK = _load_perfbench()
 
 
 def run(argv, capsys):
-    code = main(argv)
+    """main's exit code, also when argparse refuses argv (SystemExit)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -237,6 +241,47 @@ def test_check_fixed_suites_refuse_a_phase_point(argv, flags, capsys):
     assert all(flag in err for flag in flags), err
 
 
+@pytest.mark.parametrize("argv,err_text", [
+    pytest.param(argv, text, id=" ".join(argv)) for argv, text in [
+        *[([target, flag, "2"], f"unrecognized arguments: {flag}")
+          for target, flags in (("identities", ("--n", "--imax", "--ansatz-n")),
+                                ("toda", ("--imax", "--ansatz-n")),
+                                ("oracle", ("--imax", "--ansatz-n")),
+                                ("laplace", ("--n", "--ansatz-n")),
+                                ("derivative", ("--n", "--imax")))
+          for flag in flags],
+        # flags go after the target: 96 is taken for a target, not for --bits
+        (["--bits", "96", "oracle"], "invalid choice: '96'"),
+    ]])
+def test_check_targets_refuse_flags_they_do_not_read(argv, err_text, capsys):
+    # each of these used to be ignored (or misparsed), and the check exited 0
+    code, out, err = run(["check", *argv, "--bits", "96"], capsys)
+    assert code == 2 and out == ""
+    assert err_text in err, err
+
+
+def test_check_toda_refuses_imax_from_config(tmp_path, capsys):
+    cfg = tmp_path / "imax.json"
+    cfg.write_text(json.dumps({"imax": 2}))
+    code, out, err = run(["check", "toda", "--config", str(cfg), "--n", "1..2",
+                          "--bits", "96"], capsys)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --imax=2" in err, err
+
+
+def test_check_ode_refuses_ansatz_n_outside_af(monkeypatch, capsys):
+    # only the af ansatz reads --ansatz-n; the d check used to ignore it
+    def refuse(*args, **kwargs):
+        raise AssertionError("ode_check ran before --ansatz-n was refused")
+
+    monkeypatch.setattr(cli.asymptotics, "ode_check", refuse)
+    code, out, err = run(["check", "ode", "--phase", "d", "--gamma", "1",
+                          "--t", "0.3", "--ansatz-n", "4", "--bits", "96"],
+                         capsys)
+    assert code == 2 and out == ""
+    assert "--ansatz-n applies to the af phase only" in err
+
+
 def test_check_oracle_refuses_a_phase_point_from_config(tmp_path, capsys):
     cfg = tmp_path / "point.json"
     cfg.write_text(json.dumps({"phase": "af", "gamma": "1"}))
@@ -284,7 +329,7 @@ def test_check_laplace_runs_d_only(monkeypatch, capsys, phase, code):
     got, _, err = run(["check", "laplace", "--phase", phase, "--gamma", "1",
                        "--bits", "96"], capsys)
     assert got == code
-    assert ("d phase" in err) == (code == 2)
+    assert ("(choose from 'd')" in err) == (code == 2)
 
 
 def test_check_ode_both_branches(capsys):
@@ -329,10 +374,10 @@ def test_check_rows_match_perfbench_reference(command, rows, capsys):
 
 @pytest.mark.parametrize("command", [
     pytest.param(command, id=command) for name in WORKLOADS.WORKLOADS
-    for command in WORKLOADS.commands(name)])
+    for command in WORKLOADS.all_commands(name)])
 def test_benchmark_rows_pass_its_own_check(command, monkeypatch, capsys):
-    # the default-seed commands of every workload, judged by the benchmark's
-    # row check: each requested row delivered with its digits, none wrong
+    # every command any seed can select, judged by the benchmark's row
+    # check: each requested row delivered with its digits, none wrong
     monkeypatch.delenv("SIXVERTEX_BITS", raising=False)
     code, out, err = run(command.split(), capsys)
     ref = PERFBENCH_CHECK.load_reference()[command]
@@ -438,7 +483,7 @@ def test_fit_refuses_fe_before_computing_tau(monkeypatch, capsys):
     code, _, err = run(["fit", "--phase", "fe", "--gamma", "0.4", "--t", "1.5",
                         "--n", "2..500"], capsys)
     assert code == 2
-    assert "fit supports the af and d phases" in err
+    assert "invalid choice: 'fe' (choose from 'af', 'd')" in err
 
 
 def test_config_file(tmp_path, capsys):
@@ -448,6 +493,20 @@ def test_config_file(tmp_path, capsys):
     code, out, _ = run(["exact", "--config", str(cfg)], capsys)
     assert code == 0
     assert len(out.strip().splitlines()) == 2
+
+
+def test_explicit_flags_beat_the_config_file(tmp_path, capsys):
+    # an abbreviated flag (--gam) is explicit too; check flags follow the target
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"phase": "af", "gamma": "1.0", "t": "0.3",
+                               "bits": 96, "format": "json"}))
+    code, out, _ = run(["exact", "--gam", "0.9", "--config", str(cfg),
+                        "--n", "1"], capsys)
+    assert code == 0 and json.loads(out)["meta"]["gamma"] == "0.9"
+    code, out, _ = run(["check", "toda", "--config", str(cfg), "--n", "1..2",
+                        "--zeta", "0.5"], capsys)
+    assert code == 0
+    assert json.loads(out)["meta"] == {"target": "toda", "bits": 96}
 
 
 def test_unwritable_out_exits_1(tmp_path, capsys):
