@@ -92,7 +92,8 @@ def _inject_config(argv):
     """Expand --config FILE into synthetic flags placed after the command
     (and check target) and before the first explicit flag.  argparse keeps
     the last value, so explicit flags win, abbreviated ones (--gam) too; a
-    flag given explicitly, or t or zeta when either is, is skipped."""
+    flag given explicitly, or t or zeta when either is, even abbreviated
+    (--ze), is skipped."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
@@ -103,31 +104,30 @@ def _inject_config(argv):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    explicit = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
-    mutex = {"--t", "--zeta"}
+    explicit = {tok.split("=", 1)[0] for tok in argv
+                if tok.startswith("--") and len(tok) > 2}
+    mutex = ("--t", "--zeta")
+    point_given = any(m.startswith(tok) for m in mutex for tok in explicit)
     flags = []
     for key, value in cfg.items():
         flag = "--" + str(key).replace("_", "-")
-        if flag in explicit:
-            continue
-        if flag in mutex and (explicit & mutex):
+        if flag in explicit or (flag in mutex and point_given):
             continue
         flags.append(f"{flag}={value}")
     at = next((i for i, tok in enumerate(argv) if tok.startswith("-")), len(argv))
     return argv[:at] + flags + argv[at:]
 
 
-_VALUE_FLAGS = ("--t", "--zeta", "--gamma", "--n")
-
-
 def _join_negative_values(argv):
-    """Merge '--t -0.3' into '--t=-0.3' so argparse does not mistake negative
-    decimal values (or grids like -0.9..0.9..0.1) for option names."""
+    """Merge '--t -0.3' into '--t=-0.3' after any long flag but --help (the
+    rest take one value), abbreviated or not, so argparse does not mistake
+    negative decimals, or grids like -0.9..0.9..0.1, for option names."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) \
+        if tok.startswith("--") and "=" not in tok \
+                and not "--help".startswith(tok) and i + 1 < len(argv) \
                 and argv[i + 1].startswith("-") and len(argv[i + 1]) > 1 \
                 and (argv[i + 1][1].isdigit() or argv[i + 1][1] == "."):
             out.append(f"{tok}={argv[i + 1]}")

@@ -1,8 +1,8 @@
 """Bulk free energies and their analytic cross-checks.
 
-f = lim log(tau_N/c_N)/N^2 is the closed form of each phase's record in
-``exactcore.PHASE_TABLE``; F = -log(a*b) - f is the physical free energy;
-z_limit = lim Z_N^(1/N^2) = a*b*exp(f).
+f = lim log(tau_N/c_N)/N^2, with f' and f'', is the closed form of each
+phase's record in ``exactcore.PHASE_TABLE``; F = -log(a*b) - f is the
+physical free energy; z_limit = lim Z_N^(1/N^2) = a*b*exp(f).
 
 Two series evaluations of the af free energy are provided: a small-gamma
 expansion around the d-phase form (nome q) and a low-temperature expansion in
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from mpmath import mp, mpf, cos, exp, log, pi, sinh, cosh, tan
+from mpmath import mp, mpf, cos, exp, log, pi, sinh
 
 from ..errors import CutoffTooSmallError, PhaseDomainError
 from ..exactcore import (PHASE_AF, PHASE_D, PHASE_FE, PHASE_TABLE, PhaseParams,
@@ -38,7 +38,7 @@ def bulk_f(params: PhaseParams, p: Precision = Precision()) -> FreeEnergy:
     """Bulk free energy: f from the phase's record in ``PHASE_TABLE``,
     F = -log(ab) - f and z_limit = ab exp(f)."""
     with p.work():
-        f = PHASE_TABLE[params.phase].f(params.t, params.gamma, p)
+        f = PHASE_TABLE[params.phase].f(params.t, params.gamma, p)[0]
         w = weights_from(params, Precision(p.bits + 32))
         ab = mpf(w.a) * mpf(w.b)
         F = -log(ab) - f
@@ -50,27 +50,21 @@ def dfdzeta(params: PhaseParams, p: Precision = Precision()):
     """The free-energy derivative, via endpoints and via the closed form.
 
     Returns (endpoint_form, closed_form).  d and af differentiate with
-    respect to zeta; fe differentiates with respect to the shifted t (its f
-    does not depend on zeta separately).  The two returns are analytically
-    equal; their numerical difference is a cross-check of the geometry
-    against the theta/trig derivative of f.
+    respect to zeta: the sum of the support ends over 4 against gamma f',
+    f' from the phase's record.  fe differentiates with respect to the
+    shifted t (its f does not depend on zeta separately): -(alpha + beta)/2
+    against f'.  The two are analytically equal; their difference checks
+    the geometry against the closed form of f.
     """
     geom = endpoints(params, p)
     with p.work():
+        closed = PHASE_TABLE[params.phase].f(params.t, params.gamma, p)[1]
         if params.phase == PHASE_FE:
-            t_e = mpf(params.t) - abs(mpf(params.gamma))
             ep = -(mpf(geom.alpha) + mpf(geom.beta)) / 2
-            closed = -cosh(t_e) / sinh(t_e)
-        elif params.phase == PHASE_D:
-            ep = (mpf(geom.alpha) + mpf(geom.beta)) / 4
-            closed = (pi / 2) * tan(pi * mpf(params.zeta) / 2)
         else:
-            ep = (mpf(geom.alpha) + mpf(geom.alpha_prime)
-                  + mpf(geom.beta_prime) + mpf(geom.beta)) / 4
-            pp = Precision(p.bits + 32)
-            z2 = pi * mpf(params.zeta) / 2
-            th2, dth2, _ = theta_all(z2, geom.elliptic.q, pp)[1]
-            closed = -(pi / 2) * dth2 / th2
+            ends = (geom.alpha, geom.alpha_prime, geom.beta_prime, geom.beta)
+            ep = sum(mpf(e) for e in ends if e is not None) / 4
+            closed *= params.gamma
     return rounded(ep, p), rounded(closed, p)
 
 
@@ -91,7 +85,7 @@ def f_small_gamma(params: PhaseParams, m_max: int, p: Precision = Precision()):
     with p.work():
         t, g = mpf(params.t), mpf(params.gamma)
         q = exp(-pi ** 2 / (2 * g))
-        total = PHASE_TABLE[PHASE_D].f(t, g, p)
+        total = PHASE_TABLE[PHASE_D].f(t, g, p)[0]
         for m in range(1, m_max + 1):
             total -= 2 * (mpf(1) / m) * q ** (2 * m) / (1 - q ** (2 * m)) \
                 * (1 - (-1) ** m * cos(m * pi * t / g))
@@ -158,11 +152,10 @@ def ode_check(params: PhaseParams, p: Precision = Precision(), n: int = 6,
     returned (expected to be far above the fe/d residuals -- that failure
     is the point).
     """
-    record = PHASE_TABLE[params.phase]
     pw = Precision(p.bits + 32)
     with pw.work():
         t, g = mpf(params.t), mpf(params.gamma)
-        f, d2f = record.f(t, g, p), record.d2f(t, g, p)
+        f, _, d2f = PHASE_TABLE[params.phase].f(t, g, p)
         if params.phase != PHASE_AF or not theta_factor:
             return rounded(abs((d2f - exp(2 * f)) / exp(2 * f)), p)
 

@@ -13,9 +13,9 @@ The discrete-sum route to tau_N in fe and af (a Stieltjes pass on the
 modes) is a test oracle and lives in tests/test_exactcore.py.
 
 The three phases are one parameterization.  Each is a :class:`Phase` record
-in PHASE_TABLE (its region, the sign s of F'' = s F, its bulk f and f''),
-and the weights and phi follow from s by one formula with
-sigma = sign(gamma - t).
+in PHASE_TABLE (its region, the sign s of F'' = s F, and its bulk f with
+f' and f'' in t from one evaluation), and the weights and phi follow from
+s by one formula with sigma = sign(gamma - t).
 
 tau_N / c_N is a Hankel determinant of the moments phi^(n)(t) of a measure
 of one sign (phi is its Laplace transform in all three phases), hence a
@@ -42,7 +42,7 @@ from math import factorial
 from operator import mul
 from typing import NamedTuple
 
-from mpmath import mp, mpf, sin, cos, sinh, cosh, exp, log, nint, pi, quad
+from mpmath import mp, mpf, sin, cos, tan, sinh, cosh, exp, log, nint, pi, quad
 
 from .errors import (
     PhaseDomainError,
@@ -50,8 +50,7 @@ from .errors import (
     QuadratureError,
 )
 from .precision import Precision, fixed, rounded, shr
-from .specfun import (elliptic_data_from_gamma, theta, theta_all,
-                      theta1_prime_zero)
+from .specfun import elliptic_data_from_gamma, theta_all, theta1_prime_zero
 
 PHASE_FE = "fe"
 PHASE_D = "d"
@@ -74,50 +73,57 @@ class Weights(NamedTuple):
     c: object
 
 
+def _f_fe(t, g, p: Precision):
+    """fe: f = -log sinh x, f' = -coth x, f'' = 1/sinh^2 x at x = t - |gamma|."""
+    x = t - abs(g)
+    s = sinh(x)
+    return -log(s), -cosh(x) / s, 1 / s ** 2
+
+
+def _f_d(t, g, p: Precision):
+    """d: exp(f) = k/cos z, f' = k tan z, f'' = k^2/cos^2 z; k = pi/2gamma,
+    z = k t."""
+    k, z = pi / (2 * g), pi * t / (2 * g)
+    c = cos(z)
+    return log(k / c), k * tan(z), k ** 2 / c ** 2
+
+
 def _f_af(t, g, p: Precision):
-    """af: exp(f) = (pi/2gamma) theta_1'(0)/theta_2(pi zeta/2) in the nome q."""
+    """af: exp(f) = k theta_1'(0)/theta_2(z) in the nome q, f' = -k
+    (log theta_2)'(z), f'' = -k^2 (log theta_2)''(z); k = pi/2gamma, z = k t,
+    from one :func:`~sixvertex.specfun.theta_all` pass."""
     pp = Precision(p.bits + 32)
     q = elliptic_data_from_gamma(g, pp).q
-    return log((pi / (2 * g)) * theta1_prime_zero(q, pp)
-               / theta(2, pi * t / (2 * g), q, pp))
-
-
-def _d2f_af(t, g, p: Precision):
-    """af: f'' = -(pi/2gamma)^2 (log theta_2)''(pi zeta/2), from one
-    :func:`~sixvertex.specfun.theta_all` pass."""
-    pp = Precision(p.bits + 32)
-    q = elliptic_data_from_gamma(g, pp).q
+    k = pi / (2 * g)
     th, d1, d2 = theta_all(pi * t / (2 * g), q, pp)[1]
-    return -(pi / (2 * g)) ** 2 * (d2 / th - (d1 / th) ** 2)
+    return (log(k * theta1_prime_zero(q, pp) / th), -k * d1 / th,
+            -k ** 2 * (d2 / th - (d1 / th) ** 2))
 
 
 class Phase(NamedTuple):
     """One phase: its region as (test(t, gamma), PhaseDomainError text)
     pairs, checked in order; the sign s of F'' = s F (F = sinh for s = 1,
-    sin for s = -1) and of y' = s - y^2, which y = F'/F solves; the bulk
-    free energy f(t, gamma, p) = lim log(tau_N/c_N)/N^2; and its closed-form
-    second t-derivative d2f(t, gamma, p)."""
+    sin for s = -1) and of y' = s - y^2, which y = F'/F solves; and
+    f(t, gamma, p) -> (f, f', f''), the bulk free energy
+    f = lim log(tau_N/c_N)/N^2 and its t-derivatives in closed form."""
 
     region: tuple
     sign: int
     f: object
-    d2f: object
 
 
 PHASE_TABLE = {
     PHASE_FE: Phase(
         ((lambda t, g: abs(g) < t, "fe phase requires |gamma| < t"),),
-        1, lambda t, g, p: -log(sinh(t - abs(g))),
-        lambda t, g, p: 1 / sinh(t - abs(g)) ** 2),
+        1, _f_fe),
     PHASE_D: Phase(
         ((lambda t, g: 0 < g < pi / 2, "d phase requires 0 < gamma < pi/2"),
          (lambda t, g: abs(t) < g, "d phase requires |t| < gamma")),
-        -1, lambda t, g, p: log((pi / (2 * g)) / cos(pi * t / (2 * g))),
-        lambda t, g, p: (pi / (2 * g)) ** 2 / cos(pi * t / (2 * g)) ** 2),
+        -1, _f_d),
     PHASE_AF: Phase(
         ((lambda t, g: g > 0, "af phase requires gamma > 0"),
          (lambda t, g: abs(t) < g, "af phase requires |t| < gamma")),
-        1, _f_af, _d2f_af),
+        1, _f_af),
 }
 PHASES = tuple(PHASE_TABLE)
 _KERNEL = {1: (sinh, cosh), -1: (sin, cos)}   # (F, F') by the sign s

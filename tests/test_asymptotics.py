@@ -29,6 +29,7 @@ from sixvertex import (CutoffTooSmallError, DegenerateGeometryError,
                        rho_at, saddle_residual, SaddleGeometry,
                        subleading_AF_fit, smooth_fit_D, tau_sequence,
                        partition_Z, weights_from)
+from sixvertex.asymptotics import freenergy
 from sixvertex.asymptotics.resolvent import _af_omega
 from sixvertex.precision import rounded
 
@@ -397,17 +398,52 @@ class TestOdeCheck:
         assert ode_check(prm, P) < mpf(2) ** (-P.bits + 16)
 
     def test_af_second_derivative_against_jtheta(self):
-        # oracle: f'' = -(pi/2g)^2 (log theta_2)''(pi t/2g) from mpmath's
+        # oracle: f' = -(pi/2g) (log theta_2)'(pi t/2g) and
+        # f'' = -(pi/2g)^2 (log theta_2)''(pi t/2g) from mpmath's
         # jtheta(2, ., q, d) at 4x the bits
         prm = _params("af", "0.3", "1.0")
         with mp.workprec(P.bits + 32):
-            got = exactcore.PHASE_TABLE["af"].d2f(prm.t, prm.gamma, P)
+            _, df, d2f = exactcore.PHASE_TABLE["af"].f(prm.t, prm.gamma, P)
         with mp.workprec(4 * P.bits):
             g = prm.gamma
             z, q = pi * prm.t / (2 * g), exp(-pi ** 2 / (2 * g))
             th, d1, d2 = (mpmath.jtheta(2, z, q, d) for d in range(3))
-            ref = -(pi / (2 * g)) ** 2 * (d2 / th - (d1 / th) ** 2)
+            for got, ref in ((df, -(pi / (2 * g)) * d1 / th),
+                             (d2f, -(pi / (2 * g)) ** 2
+                              * (d2 / th - (d1 / th) ** 2))):
+                assert abs(got - ref) < mpf(2) ** (-P.bits + 8) * abs(ref)
+
+    @pytest.mark.parametrize("phase,t,g", [
+        ("fe", "1.5", "0.4"), ("fe", "0.41", "-0.4"),
+        ("d", "0.3", "1.0"), ("d", "-0.9999", "1.5")])
+    def test_first_derivative_closed_forms(self, phase, t, g):
+        # f' = -coth(t - |gamma|) in fe, (pi/2g) tan(pi t/2g) in d, at 4x
+        # the bits
+        prm = phase_params(phase, t, g, P)
+        with mp.workprec(P.bits + 32):
+            got = exactcore.PHASE_TABLE[phase].f(prm.t, prm.gamma, P)[1]
+        with mp.workprec(4 * P.bits):
+            t, g = prm.t, prm.gamma
+            ref = -mpmath.coth(t - abs(g)) if phase == "fe" \
+                else (pi / (2 * g)) * mpmath.tan(pi * t / (2 * g))
             assert abs(got - ref) < mpf(2) ** (-P.bits + 8) * abs(ref)
+
+    def test_warm_af_ode_check_makes_four_theta_passes(self, monkeypatch):
+        # f, f' and f'' share one theta_2 pass; theta_4 and its derivatives
+        # at u_n, and theta_4 at u_(n+1) and u_(n-1), are the other three
+        prm = _params("af", "0.2", "1.0")
+        ode_check(prm, P)
+        calls = []
+        original = specfun.theta_all
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        for module in (specfun, exactcore, freenergy):
+            monkeypatch.setattr(module, "theta_all", counting)
+        ode_check(prm, P)
+        assert len(calls) == 4, calls
 
 
 # ---------------------------------------------------------------------------

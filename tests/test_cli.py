@@ -382,7 +382,9 @@ def test_benchmark_rows_pass_its_own_check(command, monkeypatch, capsys):
     code, out, err = run(command.split(), capsys)
     ref = PERFBENCH_CHECK.load_reference()[command]
     result = PERFBENCH_CHECK.check_output(command, ref, code, out, err)
-    assert result.ok == result.requested and not result.wrong, result.problems
+    # no problems either: an extra row leaves ok == requested
+    assert result.ok == result.requested and not result.wrong \
+        and not result.problems, result.problems
 
 
 def test_bulk_grid_rows(capsys):
@@ -507,6 +509,24 @@ def test_explicit_flags_beat_the_config_file(tmp_path, capsys):
                         "--zeta", "0.5"], capsys)
     assert code == 0
     assert json.loads(out)["meta"] == {"target": "toda", "bits": 96}
+
+
+def test_abbreviated_zeta_skips_the_config_t(tmp_path, capsys):
+    # --ze abbreviates --zeta, so the file's t must not join it: the run is
+    # the run of --zeta 0.2 without a config
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"t": "0.3"}))
+    point = ["--phase", "af", "--gamma", "1", "--n", "1..2", "--bits", "96"]
+    got = run(["exact", *point, "--ze", "0.2", "--config", str(cfg)], capsys)
+    want = run(["exact", *point, "--zeta", "0.2"], capsys)
+    assert got == want and want[0] == 0
+
+
+def test_negative_value_after_an_abbreviated_flag(capsys):
+    point = ["bulk", "--phase", "af", "--gamma", "1", "--bits", "96"]
+    got = run([*point, "--ze", "-0.9..0.9..0.3"], capsys)
+    want = run([*point, "--zeta", "-0.9..0.9..0.3"], capsys)
+    assert got == want and want[0] == 0 and len(want[1].splitlines()) == 8
 
 
 def test_unwritable_out_exits_1(tmp_path, capsys):

@@ -36,6 +36,7 @@ def loaded_after(code):
 HELP_AND_USAGE_ERRORS = """
 from sixvertex.argv import main
 for args, code in ((["--help"], 0), (["exact", "--help"], 0),
+                   (["bulk", "--help", "-0.3"], 0),   # --help takes no value
                    (["exact"], 2)):    # --phase and --gamma missing
     try:
         main(args)

@@ -10,7 +10,7 @@ from mpmath import mpf
 from sixvertex import (Precision, bulk_f, elliptic_data_from_gamma, endpoints,
                        enumerate_dwbc, phase_params, specfun, tau_sequence,
                        weights_from)
-from sixvertex.exactcore import PHASE_TABLE, Phase, _d2f_af, _f_af
+from sixvertex.exactcore import PHASE_TABLE, Phase, _f_af
 
 P = Precision(128)
 
@@ -23,7 +23,7 @@ def _records():
         "Weights": weights_from(prm, P),
         # the table's regions are lambdas, which pickle cannot name; this
         # Phase holds only module-level functions
-        "Phase": Phase((), 1, _f_af, _d2f_af),
+        "Phase": Phase((), 1, _f_af),
         "TauValue": tau_sequence(prm, 3, P)[-1],
         "EllipticData": elliptic_data_from_gamma(mpf(1), P),
         "EnumResult": enumerate_dwbc(3),
