@@ -1,8 +1,8 @@
 """Bulk free energies and their analytic cross-checks.
 
 f = lim log(tau_N/c_N)/N^2, with f' and f'', is the closed form of each
-phase's record in ``exactcore.PHASE_TABLE``; F = -log(a*b) - f is the
-physical free energy; z_limit = lim Z_N^(1/N^2) = a*b*exp(f).
+phase's record in ``exactcore.PHASE_TABLE``, f(params, p); F = -log(a*b) - f
+is the physical free energy; z_limit = lim Z_N^(1/N^2) = a*b*exp(f).
 
 Two series evaluations of the af free energy are provided: a small-gamma
 expansion around the d-phase form (nome q) and a low-temperature expansion in
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from mpmath import mp, mpf, cos, exp, log, pi, sinh
+from mpmath import mp, mpf, cos, exp, log, pi, sin, sinh
 
 from ..errors import CutoffTooSmallError, PhaseDomainError
 from ..exactcore import (PHASE_AF, PHASE_D, PHASE_FE, PHASE_TABLE, PhaseParams,
@@ -38,7 +38,7 @@ def bulk_f(params: PhaseParams, p: Precision = Precision()) -> FreeEnergy:
     """Bulk free energy: f from the phase's record in ``PHASE_TABLE``,
     F = -log(ab) - f and z_limit = ab exp(f)."""
     with p.work():
-        f = PHASE_TABLE[params.phase].f(params.t, params.gamma, p)[0]
+        f = PHASE_TABLE[params.phase].f(params, p)[0]
         w = weights_from(params, Precision(p.bits + 32))
         ab = mpf(w.a) * mpf(w.b)
         F = -log(ab) - f
@@ -58,7 +58,7 @@ def dfdzeta(params: PhaseParams, p: Precision = Precision()):
     """
     geom = endpoints(params, p)
     with p.work():
-        closed = PHASE_TABLE[params.phase].f(params.t, params.gamma, p)[1]
+        closed = PHASE_TABLE[params.phase].f(params, p)[1]
         if params.phase == PHASE_FE:
             ep = -(mpf(geom.alpha) + mpf(geom.beta)) / 2
         else:
@@ -68,33 +68,43 @@ def dfdzeta(params: PhaseParams, p: Precision = Precision()):
     return rounded(ep, p), rounded(closed, p)
 
 
+def _series(total, term, tail, m_max: int, p: Precision):
+    """total + term(1) + ... + term(m) for the first m whose tail(m + 1), a
+    bound on the terms after m, is at most 2^(-bits-8); CutoffTooSmallError
+    when the cap m_max comes first."""
+    m = 0
+    while (bound := tail(m + 1)) > mpf(2) ** (-p.bits - 8):
+        if m == m_max:
+            raise CutoffTooSmallError(
+                f"series tail bound {mp.nstr(bound, 5)} above 2^(-bits-8); "
+                f"raise m_max beyond {m_max}")
+        m += 1
+        total += term(m)
+    return total
+
+
 def f_small_gamma(params: PhaseParams, m_max: int, p: Precision = Precision()):
     """Small-gamma expansion of the af free energy around the d-phase form.
 
     f = log[(pi/2g)/cos(pi t/2g)]
         - 2 sum_{m>=1} (1/m) q^{2m}/(1-q^{2m}) (1 - (-1)^m cos(m pi t/g)),
-    q = exp(-pi^2/(2g)).  Returns (f_series, f_sing_leading) where
+    q = exp(-pi^2/(2g)), its first term the d record's f (d and af share
+    the edge gamma - |t|).  Returns (f_series, f_sing_leading) where
     f_sing_leading = -4 exp(-pi^2/g) cos^2(pi t/2g) is the leading term of
-    the series (the singular part of f across the d/af boundary).
-
-    Raises CutoffTooSmallError when the truncated tail is not provably below
-    2^(-bits-8), so the truncated sum is good to the working precision.
+    the series (the singular part of f across the d/af boundary), with cos
+    as sin(pi edge/2g).  The series stops by :func:`_series`.
     """
     if params.phase != PHASE_AF:
         raise PhaseDomainError("small-gamma expansion applies to af only")
     with p.work():
-        t, g = mpf(params.t), mpf(params.gamma)
+        t, g = params.t, params.gamma
         q = exp(-pi ** 2 / (2 * g))
-        total = PHASE_TABLE[PHASE_D].f(t, g, p)[0]
-        for m in range(1, m_max + 1):
-            total -= 2 * (mpf(1) / m) * q ** (2 * m) / (1 - q ** (2 * m)) \
-                * (1 - (-1) ** m * cos(m * pi * t / g))
-        tail = 4 * q ** (2 * (m_max + 1)) / ((m_max + 1) * (1 - q ** 2) ** 2)
-        if tail > mpf(2) ** (-p.bits - 8):
-            raise CutoffTooSmallError(
-                f"series tail bound {mp.nstr(tail, 5)} above 2^(-bits-8); "
-                f"raise m_max beyond {m_max}")
-        sing = -4 * exp(-pi ** 2 / g) * cos(pi * t / (2 * g)) ** 2
+        total = _series(
+            PHASE_TABLE[PHASE_D].f(params, p)[0],
+            lambda m: -2 * (mpf(1) / m) * q ** (2 * m) / (1 - q ** (2 * m))
+            * (1 - (-1) ** m * cos(m * pi * t / g)),
+            lambda m: 4 * q ** (2 * m) / (m * (1 - q ** 2) ** 2), m_max, p)
+        sing = -4 * exp(-pi ** 2 / g) * sin(pi * params.edge / (2 * g)) ** 2
     return rounded(total, p), rounded(sing, p)
 
 
@@ -105,25 +115,20 @@ def F_modular(params: PhaseParams, m_max: int, p: Precision = Precision()):
         - 2 sum_{m>=1} (1/m) [exp(-2mg)/sinh(2mg)] sinh^2(m(g-t)).
 
     Converges for |t| < gamma; ideal for large gamma where the direct theta
-    series is slow.  Raises CutoffTooSmallError, like :func:`f_small_gamma`,
-    when the tail is not provably below 2^(-bits-8).
+    series is slow.  The series stops by :func:`_series`.
     """
     if params.phase != PHASE_AF:
         raise PhaseDomainError("modular-series free energy applies to af only")
     with p.work():
-        t, g = mpf(params.t), mpf(params.gamma)
-        total = -g / 2 - t ** 2 / (2 * g) - log(sinh(g + t)) + t
-        for m in range(1, m_max + 1):
-            total -= 2 * (mpf(1) / m) * (exp(-2 * m * g) / sinh(2 * m * g)) \
-                * sinh(m * (g - t)) ** 2
+        t, g = params.t, params.gamma
         # term_m <= exp(-2m(g+t)) / (m (1 - exp(-4g))); geometric tail bound
         ratio = exp(-2 * (g + t))
-        tail = ratio ** (m_max + 1) \
-            / ((m_max + 1) * (1 - ratio) * (1 - exp(-4 * g)))
-        if tail > mpf(2) ** (-p.bits - 8):
-            raise CutoffTooSmallError(
-                f"series tail bound {mp.nstr(tail, 5)} above 2^(-bits-8); "
-                f"raise m_max beyond {m_max}")
+        total = _series(
+            -g / 2 - t ** 2 / (2 * g) - log(sinh(g + t)) + t,
+            lambda m: -2 * (mpf(1) / m) * (exp(-2 * m * g) / sinh(2 * m * g))
+            * sinh(m * (g - t)) ** 2,
+            lambda m: ratio ** m / (m * (1 - ratio) * (1 - exp(-4 * g))),
+            m_max, p)
     return rounded(total, p)
 
 
@@ -154,8 +159,8 @@ def ode_check(params: PhaseParams, p: Precision = Precision(), n: int = 6,
     """
     pw = Precision(p.bits + 32)
     with pw.work():
-        t, g = mpf(params.t), mpf(params.gamma)
-        f, _, d2f = PHASE_TABLE[params.phase].f(t, g, p)
+        t, g = params.t, params.gamma
+        f, _, d2f = PHASE_TABLE[params.phase].f(params, p)
         if params.phase != PHASE_AF or not theta_factor:
             return rounded(abs((d2f - exp(2 * f)) / exp(2 * f)), p)
 

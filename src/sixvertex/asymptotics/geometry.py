@@ -25,7 +25,7 @@ from ..specfun import (EllipticData, _landen, elliptic_data_from_gamma,
 class SaddleGeometry(NamedTuple):
     """Support endpoints of the limiting eigenvalue density, kept to bits+32.
 
-    fe: alpha = coth(t_e/2), beta = tanh(t_e/2) with t_e = t - |gamma| > 0;
+    fe: alpha = coth(t_e/2), beta = tanh(t_e/2), t_e = t - |gamma| = edge;
         their product is 1.  The density lives on [0, alpha] and saturates
         at 1 on [0, beta].
     d:  single band [alpha, beta], alpha < 0 < beta, (-alpha)*beta = pi^2.
@@ -59,14 +59,13 @@ def endpoints(params: PhaseParams, p: Precision = Precision()) -> SaddleGeometry
     alpha' = beta' - 2K k theta_1 theta_2/(theta_3 theta_4) (2K k^2 sn cn/dn).
     """
     with p.work(64):
-        # t_e near t = |gamma|, and tan, theta_1 and theta_2 near a pole or
-        # zero as |zeta| -> 1, amplify a rounding of these: keep bits+64
-        t_e = params.t - abs(params.gamma)
+        # tan, theta_1 and theta_2 near a pole or zero as |zeta| -> 1
+        # amplify a rounding of these: keep bits+64
         v, w = pi * (1 - params.zeta) / 4, pi * (1 + params.zeta) / 4
     with p.work():
         if params.phase == PHASE_FE:
-            alpha = cosh(t_e / 2) / sinh(t_e / 2)
-            beta = tanh(t_e / 2)
+            alpha = cosh(params.edge / 2) / sinh(params.edge / 2)
+            beta = tanh(params.edge / 2)
             return SaddleGeometry(alpha, beta, (mpf(0), alpha),
                                   ((mpf(0), beta),), mpf(1))
         if params.phase == PHASE_D:

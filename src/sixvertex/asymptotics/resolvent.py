@@ -21,10 +21,9 @@ from .geometry import SaddleGeometry
 
 
 def _fe_omega(params, geom, z):
-    t_e = mpf(params.t) - abs(mpf(params.gamma))
     lo, hi = mpf(geom.beta), mpf(geom.alpha)
-    return t_e - 2 * log((sqrt(lo * (z - hi)) + sqrt(hi * (z - lo)))
-                         / sqrt(z * (hi - lo)))
+    return params.edge - 2 * log((sqrt(lo * (z - hi)) + sqrt(hi * (z - lo)))
+                                 / sqrt(z * (hi - lo)))
 
 
 def _d_omega(params, geom, z):
@@ -181,7 +180,7 @@ def saddle_residual(params: PhaseParams, geom: SaddleGeometry, mu,
 
         omega(mu+i0) + omega(mu-i0) - V'(mu)
 
-    with V' = 2*t_e for fe and sign(mu) - zeta for d/af: twice the real part
+    with V' = 2*edge for fe and sign(mu) - zeta for d/af: twice the real part
     of the closed-form omega(mu + i0), which is the same on both sides of
     the cut.  mu off the support, on a saturated interval (both read from
     the geometry) or at the jump mu = 0 of V' raises DomainError.
@@ -189,7 +188,7 @@ def saddle_residual(params: PhaseParams, geom: SaddleGeometry, mu,
     with p.work():
         mu = mpf(mu)
         if params.phase == PHASE_FE:
-            target = 2 * (mpf(params.t) - abs(mpf(params.gamma)))
+            target = 2 * params.edge
         else:
             target = (1 if mu > 0 else -1) - mpf(params.zeta)
         (lo, hi), sat = geom.support, geom.saturated

@@ -7,15 +7,15 @@ Boltzmann weights, the derivatives of phi from the Taylor recurrence of its
 Riccati equation, the scaled determinant tau_N / c_N with
 c_N = (prod_{n<N} n!)^2, the partition function Z_N = (a*b)^(N^2) * tau_N / c_N,
 the Laplace-moment cross-check in d, and the Toda residual in t, whose
-5-point t-step scales with r, the distance from t to phi's nearest pole; r
-is also t's distance to the region's boundary, so the points stay inside.
+5-point t-step scales with the phase point's distance to the region's edge,
+which is also the distance to phi's nearest pole, so the points stay inside.
 The discrete-sum route to tau_N in fe and af (a Stieltjes pass on the
 modes) is a test oracle and lives in tests/test_exactcore.py.
 
 The three phases are one parameterization.  Each is a :class:`Phase` record
 in PHASE_TABLE (its region, the sign s of F'' = s F, and its bulk f with
-f' and f'' in t from one evaluation), and the weights and phi follow from
-s by one formula with sigma = sign(gamma - t).
+f' and f'' in t from one evaluation at a phase point), and the weights and
+phi follow from s by one formula with sigma = sign(gamma - t).
 
 tau_N / c_N is a Hankel determinant of the moments phi^(n)(t) of a measure
 of one sign (phi is its Laplace transform in all three phases), hence a
@@ -42,7 +42,7 @@ from math import factorial
 from operator import mul
 from typing import NamedTuple
 
-from mpmath import mp, mpf, sin, cos, tan, sinh, cosh, exp, log, nint, pi, quad
+from mpmath import mp, mpf, sin, cos, sinh, cosh, exp, log, nint, pi, quad
 
 from .errors import (
     PhaseDomainError,
@@ -58,13 +58,14 @@ PHASE_AF = "af"
 
 
 class PhaseParams(NamedTuple):
-    """Validated phase point.  zeta = t/gamma.  All three carry bits + 64
-    of the Precision they were built at."""
+    """Validated phase point, kept to bits + 64 of the Precision it was built
+    at: zeta = t/gamma, and the edge t - |gamma| (fe), gamma - |t| (d, af)."""
 
     phase: str
     t: object
     gamma: object
     zeta: object
+    edge: object
 
 
 class Weights(NamedTuple):
@@ -73,29 +74,31 @@ class Weights(NamedTuple):
     c: object
 
 
-def _f_fe(t, g, p: Precision):
-    """fe: f = -log sinh x, f' = -coth x, f'' = 1/sinh^2 x at x = t - |gamma|."""
-    x = t - abs(g)
-    s = sinh(x)
-    return -log(s), -cosh(x) / s, 1 / s ** 2
+def _f_fe(params: PhaseParams, p: Precision):
+    """fe: f = -log sinh x, f' = -coth x, f'' = 1/sinh^2 x at x = edge."""
+    s = sinh(params.edge)
+    return -log(s), -cosh(params.edge) / s, 1 / s ** 2
 
 
-def _f_d(t, g, p: Precision):
+def _f_d(params: PhaseParams, p: Precision):
     """d: exp(f) = k/cos z, f' = k tan z, f'' = k^2/cos^2 z; k = pi/2gamma,
-    z = k t."""
-    k, z = pi / (2 * g), pi * t / (2 * g)
-    c = cos(z)
-    return log(k / c), k * tan(z), k ** 2 / c ** 2
+    z = k t, with cos z = sin(k edge) and tan z = sin(z)/cos z."""
+    k = pi / (2 * params.gamma)
+    c = sin(k * params.edge)
+    return log(k / c), k * sin(k * params.t) / c, k ** 2 / c ** 2
 
 
-def _f_af(t, g, p: Precision):
+def _f_af(params: PhaseParams, p: Precision):
     """af: exp(f) = k theta_1'(0)/theta_2(z) in the nome q, f' = -k
     (log theta_2)'(z), f'' = -k^2 (log theta_2)''(z); k = pi/2gamma, z = k t,
-    from one :func:`~sixvertex.specfun.theta_all` pass."""
-    pp = Precision(p.bits + 32)
+    from one :func:`~sixvertex.specfun.theta_all` pass.  z is formed at
+    bits + 64, as theta_2 near its zero at z = pi/2 amplifies its rounding."""
+    pp, g = Precision(p.bits + 32), params.gamma
     q = elliptic_data_from_gamma(g, pp).q
     k = pi / (2 * g)
-    th, d1, d2 = theta_all(pi * t / (2 * g), q, pp)[1]
+    with p.work(64):
+        z = pi * params.t / (2 * g)
+    th, d1, d2 = theta_all(z, q, pp)[1]
     return (log(k * theta1_prime_zero(q, pp) / th), -k * d1 / th,
             -k ** 2 * (d2 / th - (d1 / th) ** 2))
 
@@ -104,8 +107,8 @@ class Phase(NamedTuple):
     """One phase: its region as (test(t, gamma), PhaseDomainError text)
     pairs, checked in order; the sign s of F'' = s F (F = sinh for s = 1,
     sin for s = -1) and of y' = s - y^2, which y = F'/F solves; and
-    f(t, gamma, p) -> (f, f', f''), the bulk free energy
-    f = lim log(tau_N/c_N)/N^2 and its t-derivatives in closed form."""
+    f(params, p) -> (f, f', f''), the bulk free energy f = lim
+    log(tau_N/c_N)/N^2 and its t-derivatives in closed form at the point."""
 
     region: tuple
     sign: int
@@ -136,7 +139,8 @@ def phase_params(phase, t, gamma, p: Precision = Precision()) -> PhaseParams:
     gamma > 0.  The error message names the violated inequality.  t, gamma
     and zeta are kept to bits + 64: log tau_N depends on t in proportion to
     N^2, so the results, not the inputs, are rounded to bits.  Pass decimal
-    strings to keep t and gamma as exact as that.
+    strings to keep t and gamma as exact as that.  edge is formed from the
+    t and gamma kept, where abs is exact, and rounded once.
     """
     phase = phase.lower()
     if phase not in PHASES:
@@ -147,17 +151,18 @@ def phase_params(phase, t, gamma, p: Precision = Precision()) -> PhaseParams:
         for inside, text in PHASE_TABLE[phase].region:
             if not inside(t, gamma):
                 raise PhaseDomainError(text)
-        zeta = t / gamma
-    return PhaseParams(phase, rounded(t, pw), rounded(gamma, pw),
-                       rounded(zeta, pw))
+        t, gamma, zeta = (rounded(x, pw) for x in (t, gamma, t / gamma))
+    with p.work(64):
+        edge = t - abs(gamma) if phase == PHASE_FE else gamma - abs(t)
+    return PhaseParams(phase, t, gamma, zeta, edge)
 
 
 def weights_from(params: PhaseParams, p: Precision = Precision()) -> Weights:
     """Boltzmann weights a, b, c = F(|gamma - t|), F(gamma + t), F(2 gamma),
-    F = sinh (fe, af) or sin (d) by the sign of :class:`Phase`."""
+    F = sinh (fe, af) or sin (d) by the sign of :class:`Phase`, at bits+64."""
     F = _KERNEL[PHASE_TABLE[params.phase].sign][0]
-    with p.work():
-        t, g = mpf(params.t), mpf(params.gamma)
+    with p.work(64):
+        t, g = params.t, params.gamma
         a, b, c = F(abs(g - t)), F(g + t), F(2 * g)
     return Weights(rounded(a, p), rounded(b, p), rounded(c, p))
 
@@ -220,13 +225,6 @@ def _riccati_taylor(y0, sign, s: int, order_max: int, W: int) -> list:
     return A
 
 
-def _pole_scale(x, sign) -> int:
-    """The least s with 2^s > r, r the distance from x to the nearest pole
-    of F'/F: |x| for coth (sign 1), the distance to pi*Z for cot (-1)."""
-    r = abs(x - pi * nint(x / pi)) if sign < 0 else abs(x)
-    return r.exp + r.bc
-
-
 def phi_derivatives(params: PhaseParams, order_max: int,
                     p: Precision = Precision()) -> tuple:
     """phi^(n)(t) for n = 0..order_max, each rounded to bits, from the Taylor
@@ -239,12 +237,13 @@ def phi_derivatives(params: PhaseParams, order_max: int,
     phi^(n)(t) = sigma n! (a_n - b_n) with a_n, b_n the Taylor coefficients
     of y at t + gamma and at t - gamma.  Each series runs in fixed point at
     W = bits + 32 and the scale 2^s of :func:`_riccati_taylor`, the least
-    power of two above its radius (:func:`_pole_scale`); n! (a_n - b_n) is
-    formed exactly from the two integer series, and each value is rounded
-    once to bits.  Against a 1600-bit reference the fixed-point series at
-    bits = 256 lose at most 8.4 of their W bits up to order 190 and 10.0 up
-    to order 598 (fe t=1.5 gamma=0.4, af and d t=0.3 gamma=1), so values
-    are good to about 2^(-bits) relative.
+    power of two above its radius, the distance from x = t +- gamma to y's
+    nearest pole (|x| for coth, the distance to pi*Z for cot).
+    n! (a_n - b_n) is formed exactly from the two integer series, and each
+    value is rounded once to bits.  Against a 1600-bit reference the
+    fixed-point series at bits = 256 lose at most 8.4 of their W bits up to
+    order 190 and 10.0 up to order 598 (fe t=1.5 gamma=0.4, af and d t=0.3
+    gamma=1), so values are good to about 2^(-bits) relative.
     """
     if order_max < 0:
         raise ValueError("order_max must be >= 0")
@@ -256,7 +255,8 @@ def phi_derivatives(params: PhaseParams, order_max: int,
         sigma = 1 if g > t else -1
         series = []
         for x in (t + g, t - g):
-            s = max(_pole_scale(x, sign), -W)
+            r = abs(x - pi * nint(x / pi)) if sign < 0 else abs(x)
+            s = max(r.exp + r.bc, -W)
             series.append((s, _riccati_taylor(dF(x) / F(x), sign, s,
                                               order_max, W)))
     (sa, a), (sb, b) = series
@@ -461,22 +461,19 @@ def toda_residuals(params: PhaseParams, N_max: int, p: Precision) -> list:
         s_N s_N'' - (s_N')^2 = N^2 s_{N+1} s_{N-1},   N^2 = c_{N+1}c_{N-1}/c_N^2,
     and s_0 = 1 by the tau_0 = 1 convention.  s_N' and s_N'' are 5-point
     central differences on t + i h, i = -2..2, built at bits + 64, with
-    h = 2^(min(0, floor(log2 r)) - floor(bits/5)), r the distance from t to
-    phi's nearest pole (:func:`_pole_scale`): in units of min(1, r), h^4
+    h = 2^(min(0, floor(log2 r)) - floor(bits/5)), r = params.edge the
+    distance from t to the region's boundary: in units of min(1, r), h^4
     truncation balances 2^(-bits)/h^2 roundoff, a residual of ~2^(-3bits/5).
-    r is also the distance from t to the region's boundary (fe t - |gamma|;
-    af and d gamma - |t|, d's poles at +-(pi - gamma) lying farther), and
-    2h < r keeps every point inside.  One :func:`tau_sequence` to N_max + 1
-    per point serves every N.
+    r is also the distance from t to phi's nearest pole (at t = +-gamma;
+    d's poles at +-(pi - gamma) lie farther), and 2h < r keeps every point
+    inside.  One :func:`tau_sequence` to N_max + 1 per point serves every N.
     """
     if N_max < 1:
         raise ValueError("N must be >= 1")
     pw = Precision(p.bits + 64)
-    sign = PHASE_TABLE[params.phase].sign
     with pw.work():
-        t, g = mpf(params.t), mpf(params.gamma)
-        scale = min(_pole_scale(t + g, sign), _pole_scale(t - g, sign))
-        h = mpf(2) ** (min(0, scale - 1) - p.bits // 5)
+        t, r = params.t, params.edge
+        h = mpf(2) ** (min(0, r.exp + r.bc - 1) - p.bits // 5)
         points = [phase_params(params.phase, t + i * h, params.gamma, pw)
                   for i in (-2, -1, 0, 1, 2)]
         # s_0 = 1 .. s_{N_max+1} at each point

@@ -328,6 +328,8 @@ class TestExpansions:
                 series(prm, m_max, P)
         hi = Precision(1024)
         got = series(prm, m_min, P)
+        # m_max caps the series: it stops at m_min whatever the cap
+        assert series(prm, 100, P) == got
         ref = series(phase_params("af", t, g, hi), 100, hi)
         if series is f_small_gamma:
             got, ref = got[0], ref[0]
@@ -403,7 +405,7 @@ class TestOdeCheck:
         # jtheta(2, ., q, d) at 4x the bits
         prm = _params("af", "0.3", "1.0")
         with mp.workprec(P.bits + 32):
-            _, df, d2f = exactcore.PHASE_TABLE["af"].f(prm.t, prm.gamma, P)
+            _, df, d2f = exactcore.PHASE_TABLE["af"].f(prm, P)
         with mp.workprec(4 * P.bits):
             g = prm.gamma
             z, q = pi * prm.t / (2 * g), exp(-pi ** 2 / (2 * g))
@@ -421,7 +423,7 @@ class TestOdeCheck:
         # the bits
         prm = phase_params(phase, t, g, P)
         with mp.workprec(P.bits + 32):
-            got = exactcore.PHASE_TABLE[phase].f(prm.t, prm.gamma, P)[1]
+            got = exactcore.PHASE_TABLE[phase].f(prm, P)[1]
         with mp.workprec(4 * P.bits):
             t, g = prm.t, prm.gamma
             ref = -mpmath.coth(t - abs(g)) if phase == "fe" \
@@ -991,6 +993,39 @@ def test_exact_layer_contract_sweep(phase, t, g):
     for p in (SWEEP_BITS, SWEEP_REF):
         prm, _ = _sweep_point(phase, t, g, p)
         vals[p] = {"tau_sequence": tau_sequence(prm, 40, p),
+                   "partition_Z": partition_Z(prm, 12, p),
+                   "weights_from": weights_from(prm, p)}
+    for name in vals[SWEEP_REF]:
+        _assert_contract(vals[SWEEP_BITS][name], vals[SWEEP_REF][name], name)
+
+
+# Points 1e-16 inside an edge, where f and its t-derivatives are singular
+# (t = |gamma| in fe, |t| = gamma in d and af), and d next to gamma = pi/2,
+# where c = sin 2 gamma cancels.  No point sits closer: phase_params keeps
+# the inputs to bits+64, about 2^(-bits+36) relative to an edge distance of
+# 1e-30, so such a point's own rounding would miss the contract.
+EDGE_SWEEP = [("fe", "0.4000000000000001", "0.4"),
+              ("fe", "0.4000000000000001", "-0.4"),
+              ("d", "0.9999999999999999", "1"),
+              ("d", "-0.9999999999999999", "1"),
+              ("af", "0.9999999999999999", "1"),
+              ("af", "-0.9999999999999999", "1"),
+              ("d", "0.3", "1.5707963267948965")]
+
+
+@pytest.mark.parametrize("phase,t,g", EDGE_SWEEP)
+def test_edge_contract_sweep(phase, t, g):
+    # the phase record's (f, f', f''), the thermodynamic layer and the exact
+    # layer, each at 256 bits against 1024
+    vals = {}
+    for p in (SWEEP_BITS, SWEEP_REF):
+        prm, geom = _sweep_point(phase, t, g, p)
+        with p.work():
+            record = exactcore.PHASE_TABLE[phase].f(prm, p)
+        vals[p] = {"record": [rounded(x, p) for x in record],
+                   "bulk_f": bulk_f(prm, p), "endpoints": geom,
+                   "dfdzeta": dfdzeta(prm, p),
+                   "tau_sequence": tau_sequence(prm, 40, p),
                    "partition_Z": partition_Z(prm, 12, p),
                    "weights_from": weights_from(prm, p)}
     for name in vals[SWEEP_REF]:
