@@ -73,9 +73,8 @@ def endpoints(params: PhaseParams, p: Precision = Precision()) -> SaddleGeometry
             return SaddleGeometry(alpha, beta, (alpha, beta), (), mp.inf)
 
         # af: elliptic parameterization
-        zeta = params.zeta
-        if abs(abs(zeta) - 1) < mpf(2) ** (-p.bits // 2):
-            raise DegenerateGeometryError(
+        if params.edge < params.gamma * mpf(2) ** (-p.bits // 2):
+            raise DegenerateGeometryError(   # 1 - |zeta| = edge/gamma
                 "af geometry degenerates at zeta = +/-1 (t -> +/-gamma)")
         pp = Precision(p.bits + 32)
         ell = elliptic_data_from_gamma(params.gamma, pp)
@@ -89,7 +88,8 @@ def endpoints(params: PhaseParams, p: Precision = Precision()) -> SaddleGeometry
         return SaddleGeometry(
             alpha, beta, (alpha, beta), ((alpha_prime, beta_prime),),
             1 / (2 * params.gamma), alpha_prime=alpha_prime,
-            beta_prime=beta_prime, elliptic=ell, u_inf=K * (1 - zeta) / 2)
+            beta_prime=beta_prime, elliptic=ell,
+            u_inf=K * (1 - params.zeta) / 2)
 
 
 def chemb_residual(params: PhaseParams, geom: SaddleGeometry,

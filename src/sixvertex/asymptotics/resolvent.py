@@ -11,8 +11,8 @@ normalization is complete integrals of the first and third kinds.
 
 from __future__ import annotations
 
-from mpmath import (mpf, mpc, sqrt, log, pi, conj, re, im, atan, fprod,
-                    elliprf, ellipk, ellippi)
+from mpmath import (mp, mpf, mpc, sqrt, log, log1p, pi, conj, re, im, atan,
+                    fprod, elliprf, ellipk, ellippi)
 
 from ..errors import DomainError
 from ..exactcore import PHASE_AF, PHASE_D, PHASE_FE, PhaseParams
@@ -81,9 +81,13 @@ def _rho_d(params, geom, mu, p):
     al, be = mpf(geom.alpha), mpf(geom.beta)
     if not al < mu < be:
         return mpf(0)
-    # log(0) = -inf puts rho = inf at the log singularity mu = 0
-    return abs(2 / pi ** 2 * (log(sqrt(be * (mu - al)) + sqrt(-al * (be - mu)))
-                              - log(abs(mu) * (be - al)) / 2))
+    if mu == 0:   # the log singularity
+        return mp.inf
+    # (1/pi^2) log((sqrt(be (mu - al)) + sqrt(-al (be - mu)))^2 / (|mu| (be -
+    # al))) as log1p of terms >= 0: no two logs cancel where be is large
+    n = -al * (be - mu) if mu > 0 else be * (mu - al)
+    return log1p(2 * (n + sqrt(-al * be * (mu - al) * (be - mu)))
+                 / (abs(mu) * (be - al))) / pi ** 2
 
 
 def _band_integral(roots, r0, y):

@@ -282,9 +282,7 @@ def cmd_check(args):
             checks.append((f"toda_residual_N{n}", resid, tol))
     elif args.target == "oracle":
         tol = mpf(2) ** (-p.bits // 2)
-        with p.work():
-            points = [("fe", mpf("1.5"), mpf("0.4")), ("d", mpf("0.3"), mpf("1.0")),
-                      ("af", mpf("0.3"), mpf("1.0"))]
+        points = [("fe", "1.5", "0.4"), ("d", "0.3", "1.0"), ("af", "0.3", "1.0")]
         ns = parse_int_range(args.n)
         prms = [phase_params(phase, t, g, p) for phase, t, g in points]
         phases = [(prm, weights_from(prm, p),

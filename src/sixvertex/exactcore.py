@@ -42,7 +42,8 @@ from math import factorial
 from operator import mul
 from typing import NamedTuple
 
-from mpmath import mp, mpf, sin, cos, sinh, cosh, exp, log, nint, pi, quad
+from mpmath import (mp, mpf, sin, cos, sinh, cosh, exp, log, nint, pi, quad,
+                    sqrt)
 
 from .errors import (
     PhaseDomainError,
@@ -50,7 +51,7 @@ from .errors import (
     QuadratureError,
 )
 from .precision import Precision, fixed, rounded, shr
-from .specfun import elliptic_data_from_gamma, theta_all, theta1_prime_zero
+from .specfun import elliptic_data_from_gamma, theta_all
 
 PHASE_FE = "fe"
 PHASE_D = "d"
@@ -91,42 +92,39 @@ def _f_d(params: PhaseParams, p: Precision):
 def _f_af(params: PhaseParams, p: Precision):
     """af: exp(f) = k theta_1'(0)/theta_2(z) in the nome q, f' = -k
     (log theta_2)'(z), f'' = -k^2 (log theta_2)''(z); k = pi/2gamma, z = k t,
-    from one :func:`~sixvertex.specfun.theta_all` pass.  z is formed at
-    bits + 64, as theta_2 near its zero at z = pi/2 amplifies its rounding."""
+    from one :func:`~sixvertex.specfun.theta_all` pass; theta_1'(0) = theta_2
+    theta_3 theta_4 (0) = sqrt((2K/pi)^3 k k') from gamma's elliptic data.
+    z is formed at bits + 64: theta_2 near its zero at pi/2 amplifies it."""
     pp, g = Precision(p.bits + 32), params.gamma
-    q = elliptic_data_from_gamma(g, pp).q
+    ell = elliptic_data_from_gamma(g, pp)
     k = pi / (2 * g)
     with p.work(64):
         z = pi * params.t / (2 * g)
-    th, d1, d2 = theta_all(z, q, pp)[1]
-    return (log(k * theta1_prime_zero(q, pp) / th), -k * d1 / th,
+    th, d1, d2 = theta_all(z, ell.q, pp)[1]
+    th1p = sqrt((2 * ell.bigK / pi) ** 3 * ell.k * ell.kprime)
+    return (log(k * th1p / th), -k * d1 / th,
             -k ** 2 * (d2 / th - (d1 / th) ** 2))
 
 
 class Phase(NamedTuple):
-    """One phase: its region as (test(t, gamma), PhaseDomainError text)
-    pairs, checked in order; the sign s of F'' = s F (F = sinh for s = 1,
-    sin for s = -1) and of y' = s - y^2, which y = F'/F solves; and
-    f(params, p) -> (f, f', f''), the bulk free energy f = lim
-    log(tau_N/c_N)/N^2 and its t-derivatives in closed form at the point."""
+    """One phase: its region as the text of its inequality, which holds
+    exactly when the point's edge > 0 and 0 < 2|gamma| < bound (mpmath's
+    lazy pi in d, compared at the working precision, +inf in fe and af);
+    the sign s of F'' = s F (F = sinh for s = 1, sin for s = -1) and of
+    y' = s - y^2, which y = F'/F solves; and f(params, p) -> (f, f', f''),
+    the bulk free energy f = lim log(tau_N/c_N)/N^2 and its t-derivatives
+    in closed form at the point."""
 
-    region: tuple
+    region: str
+    bound: object
     sign: int
     f: object
 
 
 PHASE_TABLE = {
-    PHASE_FE: Phase(
-        ((lambda t, g: abs(g) < t, "fe phase requires |gamma| < t"),),
-        1, _f_fe),
-    PHASE_D: Phase(
-        ((lambda t, g: 0 < g < pi / 2, "d phase requires 0 < gamma < pi/2"),
-         (lambda t, g: abs(t) < g, "d phase requires |t| < gamma")),
-        -1, _f_d),
-    PHASE_AF: Phase(
-        ((lambda t, g: g > 0, "af phase requires gamma > 0"),
-         (lambda t, g: abs(t) < g, "af phase requires |t| < gamma")),
-        1, _f_af),
+    PHASE_FE: Phase("0 < |gamma| < t", mp.inf, 1, _f_fe),
+    PHASE_D: Phase("|t| < gamma < pi/2", pi, -1, _f_d),
+    PHASE_AF: Phase("|t| < gamma", mp.inf, 1, _f_af),
 }
 PHASES = tuple(PHASE_TABLE)
 _KERNEL = {1: (sinh, cosh), -1: (sin, cos)}   # (F, F') by the sign s
@@ -135,25 +133,27 @@ _KERNEL = {1: (sinh, cosh), -1: (sin, cos)}   # (F, F') by the sign s
 def phase_params(phase, t, gamma, p: Precision = Precision()) -> PhaseParams:
     """Build a PhaseParams, enforcing the phase's region (:class:`Phase`).
 
-    fe: |gamma| < t;  d: |t| < gamma and 0 < gamma < pi/2;  af: |t| < gamma,
-    gamma > 0.  The error message names the violated inequality.  t, gamma
-    and zeta are kept to bits + 64: log tau_N depends on t in proportion to
-    N^2, so the results, not the inputs, are rounded to bits.  Pass decimal
-    strings to keep t and gamma as exact as that.  edge is formed from the
-    t and gamma kept, where abs is exact, and rounded once.
+    t and gamma are kept to bits + 64: log tau_N depends on t in proportion
+    to N^2, so the results, not the inputs, are rounded to bits.  Pass
+    decimal strings to keep t and gamma as exact as that.  edge is formed
+    from the t and gamma kept, where abs is exact, and rounded once; the
+    point is in its region exactly when edge > 0 and 0 < 2|gamma| < bound,
+    else PhaseDomainError names the region's inequality.  zeta is t/gamma
+    of the inputs, kept to bits + 64.
     """
     phase = phase.lower()
     if phase not in PHASES:
         raise PhaseDomainError(f"unknown phase {phase!r}, expected one of {PHASES}")
+    region, bound = PHASE_TABLE[phase][:2]
     pw = Precision(p.bits + 64)
     with pw.work():
-        t, gamma = mpf(t), mpf(gamma)
-        for inside, text in PHASE_TABLE[phase].region:
-            if not inside(t, gamma):
-                raise PhaseDomainError(text)
-        t, gamma, zeta = (rounded(x, pw) for x in (t, gamma, t / gamma))
-    with p.work(64):
-        edge = t - abs(gamma) if phase == PHASE_FE else gamma - abs(t)
+        t_in, g_in = mpf(t), mpf(gamma)
+        t, gamma = rounded(t_in, pw), rounded(g_in, pw)
+        with p.work(64):
+            edge = t - abs(gamma) if phase == PHASE_FE else gamma - abs(t)
+        if not (edge > 0 and 0 < 2 * abs(gamma) < bound):
+            raise PhaseDomainError(f"{phase} phase requires {region}")
+        zeta = rounded(t_in / g_in, pw)
     return PhaseParams(phase, t, gamma, zeta, edge)
 
 

@@ -13,11 +13,10 @@ so the Landen route is its independent check.  All routines take an
 explicit :class:`~sixvertex.precision.Precision`; there is no module-level
 precision state.
 
-Three memos live here, each for the life of the process: :func:`_agm` per
-(k, k', bits), the elliptic data of a gamma per (gamma, bits) behind
-:func:`elliptic_data_from_gamma`, and :func:`theta1_prime_zero` per
-(q, bits).  :func:`identity_checks` is the identity suite that
-``sixvertex check identities`` and the tests share.
+Two memos live here, each for the life of the process: :func:`_agm` per
+(k, k', bits), and the elliptic data of a gamma per (gamma, bits) behind
+:func:`elliptic_data_from_gamma`.  :func:`identity_checks` is the
+identity suite that ``sixvertex check identities`` and the tests share.
 
 The nome convention throughout is q = exp(-pi*K'/K).  The dual nome under a
 modular transformation, exp(-2*gamma) when q = exp(-pi^2/(2*gamma)), shows up
@@ -261,9 +260,8 @@ def _elliptic_data(gamma, p: Precision):
         )
 
 
-@lru_cache(maxsize=64)
 def theta1_prime_zero(q, p: Precision):
-    """theta_1'(0, q) = d/dz theta_1 at z = 0, memoized per (q, bits)."""
+    """theta_1'(0, q) = d/dz theta_1 at z = 0."""
     return theta_all(0, q, p)[0][1]
 
 

@@ -1016,7 +1016,13 @@ EDGE_SWEEP = [("fe", "0.4000000000000001", "0.4"),
 @pytest.mark.parametrize("phase,t,g", EDGE_SWEEP)
 def test_edge_contract_sweep(phase, t, g):
     # the phase record's (f, f', f''), the thermodynamic layer and the exact
-    # layer, each at 256 bits against 1024
+    # layer, each at 256 bits against 1024; rho_at across the support
+    _, ref_geom = _sweep_point(phase, t, g, SWEEP_REF)
+    with mp.workprec(SWEEP_REF.bits):
+        lo, hi = ref_geom.support
+        mus = [rounded(lo + mpf(frac) * (hi - lo), SWEEP_BITS) for frac in
+               ("0.001", mpf(1) / 4, mpf(1) / 3, "0.5", mpf(2) / 3,
+                mpf(3) / 4, "0.999")]
     vals = {}
     for p in (SWEEP_BITS, SWEEP_REF):
         prm, geom = _sweep_point(phase, t, g, p)
@@ -1025,6 +1031,7 @@ def test_edge_contract_sweep(phase, t, g):
         vals[p] = {"record": [rounded(x, p) for x in record],
                    "bulk_f": bulk_f(prm, p), "endpoints": geom,
                    "dfdzeta": dfdzeta(prm, p),
+                   "rho_at": [rho_at(prm, geom, mu, p) for mu in mus],
                    "tau_sequence": tau_sequence(prm, 40, p),
                    "partition_Z": partition_Z(prm, 12, p),
                    "weights_from": weights_from(prm, p)}

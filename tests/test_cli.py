@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf, sqrt
 
-from sixvertex import cli
+from sixvertex import Precision, PhaseDomainError, cli, phase_params
 from sixvertex.cli import main, parse_grid, parse_int_range
 from sixvertex.oracle import MAX_ENUM_N
 
@@ -119,6 +119,29 @@ def test_invalid_region_exits_2(capsys):
                        capsys)
     assert code == 2
     assert "|gamma| < t" in err
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_points_outside_the_kept_region_exit_2(bits, capsys):
+    # t or gamma 10^(-d) past the edge, d between (bits+64) and (bits+96)
+    # bits: the parse sees the point inside, the t and gamma kept do not;
+    # and fe at gamma = 0, where c = sinh 0 = 0
+    d = round((bits + 80) * 0.30103)
+    past = lambda x: x + "0" * (d - len(x) + 1) + "1"
+    for argv in (["bulk", "--phase", "fe", "--gamma", "0.4", "--t", past("0.4")],
+                 ["exact", "--phase", "d", "--gamma", past("0.3"), "--t", "0.3",
+                  "--n", "3"],
+                 ["exact", "--phase", "fe", "--gamma", "0", "--t", "1",
+                  "--n", "3"]):
+        code, out, err = run(argv + ["--bits", str(bits)], capsys)
+        assert (code, out) == (2, ""), argv
+        assert f"{argv[2]} phase requires " in err and "Traceback" not in err
+    # pi/2 is compared at the working precision, not at 53 bits
+    p = Precision(bits)
+    with pytest.raises(PhaseDomainError, match=r"gamma < pi/2"):
+        phase_params("d", "0.3", "1.5707963267948967", p)
+    for g in ("1.5707963267948965", "1.5707963267948966"):
+        assert phase_params("d", "0.3", g, p).edge > 0
 
 
 def test_determinism_and_out_file(tmp_path, capsys):

@@ -10,7 +10,7 @@ from mpmath import mpf
 from sixvertex import (Precision, bulk_f, elliptic_data_from_gamma, endpoints,
                        enumerate_dwbc, phase_params, specfun, tau_sequence,
                        weights_from)
-from sixvertex.exactcore import PHASE_TABLE, Phase, _f_af
+from sixvertex.exactcore import PHASE_TABLE, Phase
 
 P = Precision(128)
 
@@ -21,9 +21,9 @@ def _records():
         "Precision": P,
         "PhaseParams": prm,
         "Weights": weights_from(prm, P),
-        # the table's regions are lambdas, which pickle cannot name; this
-        # Phase holds only module-level functions
-        "Phase": Phase((), 1, _f_af),
+        # af's bound is an mpf; d's is mpmath's lazy pi, which pickle
+        # cannot name
+        "Phase": PHASE_TABLE["af"],
         "TauValue": tau_sequence(prm, 3, P)[-1],
         "EllipticData": elliptic_data_from_gamma(mpf(1), P),
         "EnumResult": enumerate_dwbc(3),

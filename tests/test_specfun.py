@@ -404,7 +404,6 @@ def test_bulk_grid_builds_elliptic_data_once(monkeypatch):
     bits, gamma = 512, "0.9"
     cache = specfun._elliptic_data
     cache.cache_clear()
-    specfun.theta1_prime_zero.cache_clear()
     per_row = []
     for t in ("-0.72", "-0.3", "0.05", "0.4", "0.81"):
         before = len(calls)
