@@ -9,8 +9,8 @@ combination of the saddle geometry.
 
 from mpmath import mp, mpf, exp, pi
 
-from sixvertex import (Precision, bulk_f, dfdzeta, endpoints, phase_params,
-                       tau_sequence)
+from sixvertex import (Precision, bulk_f, dfdzeta, elliptic_data_from_gamma,
+                       endpoints, phase_params, tau_sequence)
 
 p = Precision(256)
 
@@ -49,8 +49,9 @@ print("\n== af endpoints and elliptic data (gamma=1, zeta=0.3) ==")
 with mp.workprec(288):
     prm = phase_params("af", mpf("0.3"), mpf("1.0"), p)
 geom = endpoints(prm, p)
+q = elliptic_data_from_gamma(prm.gamma, p).q
 with mp.workprec(288):
     print(f"  alpha={mp.nstr(geom.alpha, 10)}  alpha'={mp.nstr(geom.alpha_prime, 10)}"
           f"  beta'={mp.nstr(geom.beta_prime, 10)}  beta={mp.nstr(geom.beta, 10)}")
-    print(f"  nome q = {mp.nstr(geom.elliptic.q, 10)} "
+    print(f"  nome q = {mp.nstr(q, 10)} "
           f"(= exp(-pi^2/2) = {mp.nstr(exp(-pi ** 2 / 2), 10)}; depends on gamma only)")

@@ -7,12 +7,3 @@ from .freenergy import (FreeEnergy, bulk_f, dfdzeta, f_small_gamma, F_modular,
 from .resolvent import (resolvent, density_normalization, rho_at,
                         saddle_residual)
 from .fits import subleading_AF_fit, smooth_fit_D
-
-__all__ = [
-    "SaddleGeometry", "endpoints", "chemb_residual",
-    "FreeEnergy", "bulk_f", "dfdzeta", "f_small_gamma", "F_modular",
-    "ode_check",
-    "resolvent", "density_normalization",
-    "rho_at", "saddle_residual",
-    "subleading_AF_fit", "smooth_fit_D",
-]

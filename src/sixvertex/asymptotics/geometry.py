@@ -15,11 +15,11 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf, tan, tanh, cosh, sinh, pi
 
-from ..errors import DegenerateGeometryError, PhaseDomainError
+from ..errors import (DegenerateGeometryError, PhaseDomainError,
+                      PrecisionExhaustedError)
 from ..exactcore import PHASE_AF, PHASE_D, PHASE_FE, PhaseParams
 from ..precision import Precision, rounded
-from ..specfun import (EllipticData, _landen, elliptic_data_from_gamma,
-                       theta_all)
+from ..specfun import _landen, elliptic_data_from_gamma, theta_all
 
 
 class SaddleGeometry(NamedTuple):
@@ -30,8 +30,8 @@ class SaddleGeometry(NamedTuple):
         at 1 on [0, beta].
     d:  single band [alpha, beta], alpha < 0 < beta, (-alpha)*beta = pi^2.
     af: alpha < alpha_prime < 0 < beta_prime < beta; [alpha_prime,
-        beta_prime] is saturated at 1/(2*gamma); elliptic and u_inf carry the
-        parameterization.
+        beta_prime] is saturated at 1/(2*gamma); the elliptic data are
+        ``elliptic_data_from_gamma(gamma, Precision(bits + 32))``.
 
     support (lo, hi), the saturated intervals and the density's bound (1 in
     fe, 1/(2*gamma) in af, +inf in d, a smooth measure) restate the above.
@@ -44,16 +44,14 @@ class SaddleGeometry(NamedTuple):
     bound: object
     alpha_prime: object = None
     beta_prime: object = None
-    elliptic: EllipticData = None
-    u_inf: object = None
 
 
 def endpoints(params: PhaseParams, p: Precision = Precision()) -> SaddleGeometry:
     """Endpoint geometry for a validated phase point, kept to the bits+32 it
     is computed at, which :func:`rho_at` needs near a support end.
 
-    af: theta_j = theta_j(v, q) at v = pi*(1-zeta)/4 = pi*u_inf/(2K) give
-    beta' = pi theta_4'/theta_4 = 2K Z(u_inf) and, each beta' plus one term,
+    af: theta_j = theta_j(v, q) at v = pi*(1-zeta)/4 = pi*u/(2K) give
+    beta' = pi theta_4'/theta_4 = 2K Z(u) and, each beta' plus one term,
     beta = beta' + 2K k' theta_2 theta_3/(theta_1 theta_4) (2K cn dn/sn),
     alpha = beta' - 2K theta_1 theta_3/(theta_2 theta_4) (2K sn dn/cn) and
     alpha' = beta' - 2K k theta_1 theta_2/(theta_3 theta_4) (2K k^2 sn cn/dn).
@@ -87,9 +85,7 @@ def endpoints(params: PhaseParams, p: Precision = Precision()) -> SaddleGeometry
         alpha_prime = beta_prime - 2 * K * ell.k * th1 * th2 / (th3 * th4)
         return SaddleGeometry(
             alpha, beta, (alpha, beta), ((alpha_prime, beta_prime),),
-            1 / (2 * params.gamma), alpha_prime=alpha_prime,
-            beta_prime=beta_prime, elliptic=ell,
-            u_inf=K * (1 - params.zeta) / 2)
+            1 / (2 * params.gamma), alpha_prime, beta_prime)
 
 
 def chemb_residual(params: PhaseParams, geom: SaddleGeometry,
@@ -98,17 +94,26 @@ def chemb_residual(params: PhaseParams, geom: SaddleGeometry,
 
         (beta' - (beta - beta') * sn/(cn*dn) * Z(u_inf)) / min(1, |beta'|),
 
-    relative where beta' < 1 (it is 1e-42 at gamma = 0.05) and never looser
-    than the absolute residual.  sn, cn, dn and Z come from one descending Landen pass over the AGM of k
-    (``specfun._landen``, behind ``jacobi_sn_cn_dn`` and ``jacobi_zeta``),
-    independent of the theta quotients that built the geometry, so a small
-    residual certifies beta and beta' against it.
+    u_inf = K(1 - zeta)/2, relative where beta' < 1 (it is 1e-42 at
+    gamma = 0.05) and never looser than the absolute residual.  sn, cn, dn
+    and Z come from one descending Landen pass over the AGM of the gamma's
+    k and k' (``specfun._landen``), independent of the theta quotients that
+    built the geometry, so a small residual certifies beta and beta'.  Once
+    k' < 2^(-bits/2) the rounded k holds almost none of 1 - k and the pass
+    loses about 2 log2(1/cn) bits, which more working bits do not restore:
+    where that exceeds bits it raises PrecisionExhaustedError.
     """
     if params.phase != PHASE_AF:
         raise PhaseDomainError("chemical-potential residual applies to af only")
     with p.work():
         pp = Precision(p.bits + 32)
-        sn, cn, dn, Z = _landen(geom.u_inf, geom.elliptic.k, pp)
+        ell = elliptic_data_from_gamma(params.gamma, pp)
+        u_inf = ell.bigK * (1 - params.zeta) / 2
+        sn, cn, dn, Z = _landen(u_inf, ell.k, ell.kprime, pp)
+        if cn ** 2 < mpf(2) ** -p.bits:
+            raise PrecisionExhaustedError(
+                f"chemical-potential residual loses about "
+                f"{mp.nstr(-2 * mp.log(cn, 2), 4)} of {p.bits} bits; raise bits")
         bp = mpf(geom.beta_prime)
         resid = bp - (mpf(geom.beta) - bp) * (sn / (cn * dn)) * Z
         resid /= min(1, abs(bp))

@@ -11,7 +11,7 @@ normalization is complete integrals of the first and third kinds.
 
 from __future__ import annotations
 
-from mpmath import (mp, mpf, mpc, sqrt, log, log1p, pi, conj, re, im, atan,
+from mpmath import (mp, mpf, mpc, sqrt, log1p, pi, conj, re, im, atan,
                     fprod, elliprf, ellipk, ellippi)
 
 from ..errors import DomainError
@@ -20,18 +20,26 @@ from ..precision import Precision, rounded
 from .geometry import SaddleGeometry
 
 
+def _log_ratio(lo, hi, z, r2):
+    """log((r1 + r2)/c), r1 = sqrt(hi (z - lo)), c = sqrt(z (hi - lo)) and
+    r2^2 = lo (z - hi), as log1p: the ratio is 1 + O(1/z) on a wide support.
+    """
+    r1, c = sqrt(hi * (z - lo)), sqrt(z * (hi - lo))
+    return log1p(2 * (lo * (z - hi) + r1 * r2) / ((r1 + r2 + c) * c))
+
+
 def _fe_omega(params, geom, z):
     lo, hi = mpf(geom.beta), mpf(geom.alpha)
-    return params.edge - 2 * log((sqrt(lo * (z - hi)) + sqrt(hi * (z - lo)))
-                                 / sqrt(z * (hi - lo)))
+    return params.edge - 2 * _log_ratio(lo, hi, z, sqrt(lo * (z - hi)))
 
 
 def _d_omega(params, geom, z):
-    zeta = mpf(params.zeta)
-    al, be = mpf(geom.alpha), mpf(geom.beta)
-    return (1 - zeta) / 2 + (2 / (mpc(0, 1) * pi)) * log(
-        (sqrt(be * (z - al)) - mpc(0, 1) * sqrt(-al * (z - be)))
-        / sqrt(z * (be - al)))
+    # (1 - zeta)/2 = edge/(2 gamma) at t >= 0; omega(z; t) = -omega(-z; -t)
+    al, be, s = mpf(geom.alpha), mpf(geom.beta), (1 if params.t >= 0 else -1)
+    if s < 0:
+        al, be, z = -be, -al, -z
+    return s * (params.edge / (2 * params.gamma) + 2 / (mpc(0, 1) * pi)
+                * _log_ratio(al, be, z, mpc(0, -1) * sqrt(-al * (z - be))))
 
 
 def _af_roots(geom):
@@ -143,10 +151,11 @@ def rho_at(params: PhaseParams, geom: SaddleGeometry, mu,
     """Density rho(mu) = |Im omega(mu + i0)| / pi at a single point.
 
     Near an end of the support rho goes like sqrt(end - mu) and amplifies
-    the end's rounding by about end / (2 (end - mu)); with the geometry at
-    bits+32 the result is good to 2^(-bits+8) relative, losing no bit, to
-    1e-10 of the support's width from an end, and loses at most 8 bits at
-    1e-12.
+    the end's error by about end / (2 (end - mu)): with ends good to
+    2^(-bits-32) relative the result is good to 2^(-bits+8), losing no bit,
+    to 1e-10 of the support's width from an end, and loses at most 8 bits at
+    1e-12.  1e-16 inside a phase edge the t kept to bits+64 fixes the ends
+    only to about 2^(-bits-11), and 1e-12 of the width then costs 39 bits.
     """
     with p.work():
         out = _RHO[params.phase](params, geom, mpf(mu), p)

@@ -49,9 +49,12 @@ class EllipticData(NamedTuple):
     q: object
 
 
-def _check_modulus(k):
+def _modulus(k, p: Precision):
+    """(k, k') = (k, sqrt(1 - k^2)) at bits + 32 for a bare k in [0, 1)."""
     if k < 0 or k >= 1:
         raise DomainError(f"modulus k={k} outside [0, 1)")
+    with p.work():
+        return mpf(k), sqrt(1 - mpf(k) ** 2)
 
 
 @lru_cache(maxsize=64)
@@ -60,7 +63,8 @@ def _agm(k, kprime, p: Precision):
     sequences a_0..a_N and c_0..c_N at bits + 32, run until
     c_N < 2^(-bits-16).  The only AGM loop here.  k' is an argument so that
     the theta k and k' of :func:`elliptic_data_from_gamma` keep every bit:
-    sqrt(1 - x^2) lost 62 of 256 bits of K at gamma = 30, 118 of K' at 0.05.
+    sqrt(1 - x^2) lost 62 of 256 bits of K at gamma = 30, 118 of K' at 0.05,
+    and all of k' ~ 4 e^(-gamma) once that is below 2^(-bits).
 
     c_0 = k and c_n = (a_(n-1) - b_(n-1))/2, formed as c_(n-1)^2/(4 a_n)
     (equal, since c_n^2 = a_n^2 - b_n^2): the difference cancels when k is
@@ -79,9 +83,8 @@ def _agm(k, kprime, p: Precision):
 
 def elliptic_K(k, p: Precision):
     """Complete elliptic integral of the first kind, K = pi/(2 a_N)."""
-    _check_modulus(k)
     with p.work():
-        a, _ = _agm(mpf(k), sqrt(1 - mpf(k) ** 2), p)
+        a, _ = _agm(*_modulus(k, p), p)
         out = pi / (2 * a[-1])
     return rounded(out, p)
 
@@ -92,9 +95,8 @@ def elliptic_E(k, p: Precision):
     The deficit series of the same AGM as K: E = K * (1 - sum 2**(n-1)
     c_n**2), c_0 = k.  Needed for the Legendre relation.
     """
-    _check_modulus(k)
     with p.work():
-        a, c = _agm(mpf(k), sqrt(1 - mpf(k) ** 2), p)
+        a, c = _agm(*_modulus(k, p), p)
         deficit = c[0] ** 2 / 2
         for n in range(1, len(c)):
             deficit += mpf(2) ** (n - 1) * c[n] ** 2
@@ -102,17 +104,17 @@ def elliptic_E(k, p: Precision):
     return rounded(out, p)
 
 
-def _landen(u, k, p: Precision):
+def _landen(u, k, kprime, p: Precision):
     """sn, cn, dn and Jacobi's Zeta at (u, k) from one descending Landen
-    pass over :func:`_agm` (Abramowitz-Stegun 16.4, 17.6), at bits + 32.
+    pass over :func:`_agm` of (k, k') (Abramowitz-Stegun 16.4, 17.6).
 
     The amplitude starts at phi_N = 2^N a_N u and descends by
     phi_(n-1) = (phi_n + asin((c_n/a_n) sin phi_n))/2 to phi_0 = am(u);
     Z(u) = sum_(n=1..N) c_n sin phi_n takes the sines the pass makes anyway.
+    dn = sqrt(k'^2 + k^2 cn^2) does not cancel as k -> 1; 1 - k^2 sn^2 does.
     """
     with p.work():
-        k = mpf(k)
-        a, c = _agm(k, sqrt(1 - k ** 2), p)
+        a, c = _agm(k, kprime, p)
         n = len(a) - 1
         phi = mpf(2) ** n * a[n] * mpf(u)
         Z = mpf(0)
@@ -120,8 +122,8 @@ def _landen(u, k, p: Precision):
             s = sin(phi)
             Z += c[i] * s
             phi = (phi + asin(c[i] / a[i] * s)) / 2
-        sn = sin(phi)
-        return sn, cos(phi), sqrt(1 - k ** 2 * sn ** 2), Z
+        cn = cos(phi)
+        return sin(phi), cn, sqrt(kprime ** 2 + k ** 2 * cn ** 2), Z
 
 
 def jacobi_sn_cn_dn(u, k, p: Precision):
@@ -131,8 +133,7 @@ def jacobi_sn_cn_dn(u, k, p: Precision):
     amplitude), which stays well conditioned up to u = K.  The AGM depends
     on k alone (:func:`_agm`), so many u at one k run it once.
     """
-    _check_modulus(k)
-    return tuple(rounded(x, p) for x in _landen(u, k, p)[:3])
+    return tuple(rounded(x, p) for x in _landen(u, *_modulus(k, p), p)[:3])
 
 
 def theta_all(z, q, p: Precision):
@@ -220,8 +221,7 @@ def jacobi_zeta(u, k, p: Precision):
     (Abramowitz-Stegun 17.6), from the same pass as :func:`jacobi_sn_cn_dn`.
     It shares the AGM with K but no theta series, nome or quadrature.
     """
-    _check_modulus(k)
-    return rounded(_landen(u, k, p)[3], p)
+    return rounded(_landen(u, *_modulus(k, p), p)[3], p)
 
 
 def elliptic_data_from_gamma(gamma, p: Precision):
@@ -285,8 +285,7 @@ def identity_checks(p: Precision):
             out.append((f"sn2+cn2-1_sample{i}", sn ** 2 + cn ** 2 - 1, tol))
             out.append((f"dn2+k2sn2-1_sample{i}", dn ** 2 + k ** 2 * sn ** 2 - 1, tol))
         # Legendre relation
-        k = mpf("0.77")
-        kp = sqrt(1 - k ** 2)
+        k, kp = _modulus(mpf("0.77"), p)
         E, Ep = elliptic_E(k, p), elliptic_E(kp, p)
         K, Kp = elliptic_K(k, p), elliptic_K(kp, p)
         out.append(("legendre_relation", E * Kp + Ep * K - K * Kp - pi / 2, tol))

@@ -23,7 +23,9 @@ from mpmath.calculus.quadrature import QuadratureRule
 
 from sixvertex import exactcore, specfun
 from sixvertex import (CutoffTooSmallError, DegenerateGeometryError,
-                       DomainError, Precision, QuadratureError, F_modular, bulk_f, chemb_residual,
+                       DomainError, InsufficientDataError, Precision,
+                       PrecisionExhaustedError, QuadratureError, F_modular,
+                       bulk_f, chemb_residual,
                        density_normalization, dfdzeta, endpoints,
                        f_small_gamma, ode_check, phase_params, resolvent,
                        rho_at, saddle_residual, SaddleGeometry,
@@ -72,22 +74,12 @@ class TestEndpoints:
         prm = _params("af", "0", "1.0")
         geom = endpoints(prm, P)
         with mp.workprec(300):
-            assert abs(geom.u_inf - geom.elliptic.bigK / 2) < mpf(2) ** (-240)
             assert abs(geom.alpha + geom.beta) < mpf(2) ** (-235)
             assert abs(geom.alpha_prime + geom.beta_prime) < mpf(2) ** (-235)
 
     def test_af_ordering(self):
         geom = endpoints(_params("af", "0.3", "1.0"), P)
         assert geom.alpha < geom.alpha_prime < 0 < geom.beta_prime < geom.beta
-
-    def test_af_nome_independent_of_zeta(self):
-        qs = []
-        for t in ("-0.5", "0", "0.5"):
-            geom = endpoints(_params("af", t, "1.0"), P)
-            qs.append(geom.elliptic.q)
-        with mp.workprec(300):
-            assert abs(qs[0] - qs[1]) < mpf(2) ** (-248)
-            assert abs(qs[2] - qs[1]) < mpf(2) ** (-248)
 
     def test_af_degenerate_zeta(self):
         with pytest.raises(DegenerateGeometryError):
@@ -108,6 +100,39 @@ class TestEndpoints:
         prm = phase_params("af", t, g, P)
         geom = endpoints(prm, P)
         assert abs(chemb_residual(prm, geom, P)) < mpf(2) ** (-P.bits + 16)
+
+    @pytest.mark.parametrize("t,g", [("40", "100"), ("80", "200")])
+    def test_chemb_residual_at_large_gamma(self, t, g):
+        # zeta = 0.4: k' ~ 4 e^(-gamma) is 2^(-142) and 2^(-286), which
+        # sqrt(1 - k^2) of the rounded k does not keep (0.026 and a
+        # ZeroDivisionError when the Landen pass formed it so)
+        prm = phase_params("af", t, g, P)
+        assert abs(chemb_residual(prm, endpoints(prm, P), P)) < mpf("1e-8")
+
+    def test_chemb_residual_refuses_what_landen_cannot_resolve(self):
+        # gamma = 200, zeta = 0: cn(u_inf)^2 ~ k' ~ 2^(-286), and the pass
+        # would lose about 2 log2(1/cn) bits, more than 256
+        prm = phase_params("af", "0", "200", P)
+        with pytest.raises(PrecisionExhaustedError, match="raise bits"):
+            chemb_residual(prm, endpoints(prm, P), P)
+        p = Precision(512)
+        prm = phase_params("af", "0", "200", p)
+        assert abs(chemb_residual(prm, endpoints(prm, p), p)) < mpf("1e-8")
+
+    @pytest.mark.parametrize("bits", [96, 256])
+    @pytest.mark.parametrize("g", ["30", "100", "200"])
+    def test_chemb_residual_passes_or_raises(self, g, bits):
+        # no false failure and no other exception across zeta
+        p = Precision(bits)
+        for zeta in ("-0.9", "-0.4", "0", "0.4", "0.9"):
+            with mp.workprec(bits + 96):
+                prm = phase_params("af", mpf(zeta) * mpf(g), g, p)
+            geom = endpoints(prm, p)
+            try:
+                resid = chemb_residual(prm, geom, p)
+            except PrecisionExhaustedError:
+                continue
+            assert abs(resid) < mpf("1e-8"), zeta
 
     def test_af_endpoints_run_no_agm_and_no_landen(self, monkeypatch):
         # once the gamma memo exists the af endpoints are theta quotients
@@ -729,7 +754,9 @@ def test_af_rho_closed_form_against_quadrature(zeta, gamma, bits):
             mpf(geom.beta_prime), mpf(geom.beta))
         g = 2 / sqrt((be - alp) * (bep - al))
         m = (be - bep) * (alp - al) / ((be - alp) * (bep - al))
-        assert abs(m - mpf(geom.elliptic.kprime) ** 2) < tol
+        kprime = specfun.elliptic_data_from_gamma(
+            prm.gamma, Precision(bits + 32)).kprime
+        assert abs(m - mpf(kprime) ** 2) < tol
         full = _cut_integral(roots, bep, be, p)   # either band, g K(m)
         assert abs(g * ellipk(m) / full - 1) < tol
         inner, outer = (3 * al + alp) / 4, (bep + 3 * be) / 4
@@ -910,11 +937,16 @@ class TestFits:
         assert -0.25 < k1 < -0.05
 
     def test_insufficient_data(self):
+        # fewer than 4 values, or N with a gap, in either fit
         p = Precision(128)
-        prm = _params("af", "0", "1.0", p)
-        taus = self._taus(prm, p, 2, 4)
-        with pytest.raises(Exception):
-            subleading_AF_fit(taus, prm, p)
+        for phase, t, fit in (("af", "0", subleading_AF_fit),
+                              ("d", "0.3", smooth_fit_D)):
+            prm = _params(phase, t, "1.0", p)
+            taus = self._taus(prm, p, 2, 9)
+            for short in (taus[:3], taus[::2], taus[:2] + taus[3:]):
+                with pytest.raises(InsufficientDataError):
+                    fit(short, prm, p)
+            fit(taus[:4], prm, p)
 
 
 # ---------------------------------------------------------------------------
@@ -1016,13 +1048,17 @@ EDGE_SWEEP = [("fe", "0.4000000000000001", "0.4"),
 @pytest.mark.parametrize("phase,t,g", EDGE_SWEEP)
 def test_edge_contract_sweep(phase, t, g):
     # the phase record's (f, f', f''), the thermodynamic layer and the exact
-    # layer, each at 256 bits against 1024; rho_at across the support
+    # layer, each at 256 bits against 1024; rho_at across the support, and
+    # the resolvent above it and beyond its upper end
     _, ref_geom = _sweep_point(phase, t, g, SWEEP_REF)
     with mp.workprec(SWEEP_REF.bits):
         lo, hi = ref_geom.support
-        mus = [rounded(lo + mpf(frac) * (hi - lo), SWEEP_BITS) for frac in
+        w = hi - lo
+        mus = [rounded(lo + mpf(frac) * w, SWEEP_BITS) for frac in
                ("0.001", mpf(1) / 4, mpf(1) / 3, "0.5", mpf(2) / 3,
                 mpf(3) / 4, "0.999")]
+        zs = [mpc(rounded(x, SWEEP_BITS), rounded(y, SWEEP_BITS))
+              for x, y in ((lo + w / 3, w / 5), (hi + 2 * w, w))]
     vals = {}
     for p in (SWEEP_BITS, SWEEP_REF):
         prm, geom = _sweep_point(phase, t, g, p)
@@ -1032,6 +1068,7 @@ def test_edge_contract_sweep(phase, t, g):
                    "bulk_f": bulk_f(prm, p), "endpoints": geom,
                    "dfdzeta": dfdzeta(prm, p),
                    "rho_at": [rho_at(prm, geom, mu, p) for mu in mus],
+                   "resolvent": [resolvent(prm, geom, z, p) for z in zs],
                    "tau_sequence": tau_sequence(prm, 40, p),
                    "partition_Z": partition_Z(prm, 12, p),
                    "weights_from": weights_from(prm, p)}

@@ -374,6 +374,21 @@ def test_check_derivative_af(capsys):
     assert "chemical_potential_residual" in out
 
 
+def test_check_derivative_af_at_large_gamma(capsys):
+    # k' ~ 4 e^(-200) ~ 2^(-286) reaches the Landen pass unrounded
+    code, out, err = run(["check", "derivative", "--phase", "af", "--gamma",
+                          "200", "--zeta", "0.4"], capsys)
+    assert code == 0 and "Traceback" not in err
+    assert "chemical_potential_residual" in out and "FAIL" not in out
+
+
+def test_fit_refuses_fewer_than_four_values(capsys):
+    code, out, err = run(["fit", "--phase", "af", "--gamma", "1", "--zeta",
+                          "0", "--n", "5..7"], capsys)
+    assert code == 2 and out == ""
+    assert "need at least 4 consecutive tau values" in err
+
+
 def _reference_check_commands():
     with open(PERFBENCH_REFERENCE, encoding="utf-8") as fh:
         commands = json.load(fh)["commands"]
