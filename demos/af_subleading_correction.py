@@ -10,10 +10,10 @@ below.  The disordered phase carries instead a smooth power-law correction
 whose exponent is fitted.
 """
 
-from mpmath import mp, mpf, pi
+from mpmath import mp, mpf, pi, log
 
-from sixvertex import (Precision, ode_check, phase_params, smooth_fit_D,
-                       subleading_AF_fit, tau_sequence)
+from sixvertex import (Precision, bulk_f, ode_check, phase_params,
+                       smooth_fit_D, subleading_AF_fit, tau_sequence)
 
 p = Precision(320)
 
@@ -22,7 +22,11 @@ with mp.workprec(352):
     prm = phase_params("af", mpf(0), mpf(1), p)
 taus = tau_sequence(prm, 16, p)[1:]          # N = 2..16
 ratios, spread = subleading_AF_fit(taus, prm, p)
-raw, spread_raw = subleading_AF_fit(taus, prm, p, subtract_theta=False)
+# control: log|tau_N/c_N| - N^2 f, the same sequence without the theta_4 term
+with mp.workprec(352):
+    f = bulk_f(prm, Precision(352)).f
+    raw = [log(abs(tv.scaled_tau)) - tv.n ** 2 * f for tv in taus]
+spread_raw = max(raw[7:]) - min(raw[7:])     # N = 9..16, the top half
 print("   N   with theta_4        without (control)")
 for n, r, rr in zip(range(2, 17), ratios, raw):
     print(f"  {n:2d}   {mp.nstr(r, 10):16s}    {mp.nstr(rr, 10)}")

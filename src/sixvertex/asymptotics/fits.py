@@ -30,17 +30,14 @@ def _check_sequence(taus):
     return ns
 
 
-def subleading_AF_fit(taus, params: PhaseParams, p: Precision = Precision(),
-                      subtract_theta: bool = True):
+def subleading_AF_fit(taus, params: PhaseParams, p: Precision = Precision()):
     """Theta-modulated ratios r_N and their top-half spread (af phase).
 
         r_N = log(tau_N/c_N) - N^2 f - log theta_4((pi/2)(1+zeta) N, q)
 
     with q = exp(-pi^2/(2 gamma)).  A spread (max - min over the upper half
     of the N range) that shrinks as the window moves up evidences convergence
-    of r_N to the constant of the asymptotic form.  subtract_theta=False
-    omits the theta term (control experiment: the raw sequence keeps
-    oscillating).
+    of r_N to the constant of the asymptotic form.
     """
     if params.phase != PHASE_AF:
         raise PhaseDomainError("theta-modulated fit applies to af only")
@@ -50,12 +47,8 @@ def subleading_AF_fit(taus, params: PhaseParams, p: Precision = Precision(),
         f = mpf(bulk_f(params, pp).f)
         q = elliptic_data_from_gamma(params.gamma, pp).q
         zeta = mpf(params.zeta)
-        ratios = []
-        for tv in taus:
-            r = log(abs(tv.scaled_tau)) - tv.n ** 2 * f
-            if subtract_theta:
-                r -= log(theta(4, (pi / 2) * (1 + zeta) * tv.n, q, pp))
-            ratios.append(rounded(r, p))
+        ratios = [rounded(log(abs(tv.scaled_tau)) - tv.n ** 2 * f - log(
+            theta(4, (pi / 2) * (1 + zeta) * tv.n, q, pp)), p) for tv in taus]
         half = [r for n, r in zip(ns, ratios) if 2 * n >= ns[0] + ns[-1]]
         spread = rounded(max(half) - min(half), p)
     return ratios, spread

@@ -4,9 +4,10 @@ Nothing here integrates numerically: fe and d are elementary, and in af each
 is an elliptic integral over P = (x-alpha)(x-alpha')(x-beta')(x-beta) in
 Carlson's closed forms.  The resolvent omega(z) = int_z^inf dx / sqrt P(x) is
 one complex R_F (:func:`_af_omega`), which on a band also gives the saddle
-equation's boundary value omega(mu + i0); the density is a band integral of
-1/sqrt|P| from a root of P, one real R_F (:func:`_band_integral`); the
-normalization is complete integrals of the first and third kinds.
+equation's boundary value omega(mu + i0); off its plateau (the geometry's
+bound) the density is a band integral of 1/sqrt|P| from a root of P, one
+real R_F (:func:`_band_integral`); the normalization is complete integrals
+of the first and third kinds.
 """
 
 from __future__ import annotations
@@ -80,15 +81,11 @@ def resolvent(params: PhaseParams, geom: SaddleGeometry, z,
 
 def _rho_fe(params, geom, mu, p):
     lo, hi = mpf(geom.beta), mpf(geom.alpha)
-    if not lo < mu < hi:   # saturated on [0, lo], empty off [0, hi]
-        return mpf(1 if 0 <= mu <= lo else 0)
     return 2 / pi * atan(sqrt(lo * (hi - mu) / (hi * (mu - lo))))
 
 
 def _rho_d(params, geom, mu, p):
     al, be = mpf(geom.alpha), mpf(geom.beta)
-    if not al < mu < be:
-        return mpf(0)
     if mu == 0:   # the log singularity
         return mp.inf
     # (1/pi^2) log((sqrt(be (mu - al)) + sqrt(-al (be - mu)))^2 / (|mu| (be -
@@ -119,14 +116,11 @@ def _band_integral(roots, r0, y):
 def _rho_af(params, geom, mu, p):
     # rho = |Im omega(mu + i0)| / pi, and Im(1/sqrt P(x + i0)) is
     # -1/sqrt|P| on the outer band, +1/sqrt|P| on the inner one, 0 elsewhere.
-    # Both full bands are g K(m), so pi rho is the part of mu's band on the
-    # far side of mu from the saturated core, and a full band on the core.
-    al, alp, bep, be = roots = _af_roots(geom)
-    if not al < mu < be:
-        return mpf(0)
-    if mu <= alp:
-        return _band_integral(roots, al, mu) / pi
-    return _band_integral(roots, be, max(mu, bep)) / pi
+    # Both full bands are g K(m) = pi/(2 gamma), the geometry's bound on the
+    # saturated core, so pi rho is the part of mu's band on the far side of
+    # mu from the core: one band integral from the band's free end.
+    al, alp, _, be = roots = _af_roots(geom)
+    return _band_integral(roots, al if mu < alp else be, mu) / pi
 
 
 def _norm_af(params, geom):
@@ -150,6 +144,9 @@ def rho_at(params: PhaseParams, geom: SaddleGeometry, mu,
            p: Precision = Precision()):
     """Density rho(mu) = |Im omega(mu + i0)| / pi at a single point.
 
+    In every phase rho is geom.bound on a saturated interval, 0 off the open
+    support, and only in between the phase's closed form.
+
     Near an end of the support rho goes like sqrt(end - mu) and amplifies
     the end's error by about end / (2 (end - mu)): with ends good to
     2^(-bits-32) relative the result is good to 2^(-bits+8), losing no bit,
@@ -158,7 +155,13 @@ def rho_at(params: PhaseParams, geom: SaddleGeometry, mu,
     only to about 2^(-bits-11), and 1e-12 of the width then costs 39 bits.
     """
     with p.work():
-        out = _RHO[params.phase](params, geom, mpf(mu), p)
+        mu, (lo, hi) = mpf(mu), geom.support
+        if any(a <= mu <= b for a, b in geom.saturated):
+            out = geom.bound
+        elif not lo < mu < hi:
+            out = mpf(0)
+        else:
+            out = _RHO[params.phase](params, geom, mu, p)
     return rounded(out, p)
 
 

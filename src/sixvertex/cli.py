@@ -326,7 +326,3 @@ def cmd_check(args):
 
 COMMANDS = {"exact": cmd_exact, "check": cmd_check, "bulk": cmd_bulk,
             "density": cmd_density, "fit": cmd_fit}
-
-
-if __name__ == "__main__":
-    sys.exit(main())

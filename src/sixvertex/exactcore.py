@@ -108,8 +108,8 @@ def _f_af(params: PhaseParams, p: Precision):
 
 class Phase(NamedTuple):
     """One phase: its region as the text of its inequality, which holds
-    exactly when the point's edge > 0 and 0 < 2|gamma| < bound (mpmath's
-    lazy pi in d, compared at the working precision, +inf in fe and af);
+    exactly when the point's edge > 0 and 0 < 2|gamma| < bound * pi (bound
+    1 in d, pi formed at the working precision, and +inf in fe and af);
     the sign s of F'' = s F (F = sinh for s = 1, sin for s = -1) and of
     y' = s - y^2, which y = F'/F solves; and f(params, p) -> (f, f', f''),
     the bulk free energy f = lim log(tau_N/c_N)/N^2 and its t-derivatives
@@ -123,7 +123,7 @@ class Phase(NamedTuple):
 
 PHASE_TABLE = {
     PHASE_FE: Phase("0 < |gamma| < t", mp.inf, 1, _f_fe),
-    PHASE_D: Phase("|t| < gamma < pi/2", pi, -1, _f_d),
+    PHASE_D: Phase("|t| < gamma < pi/2", 1, -1, _f_d),
     PHASE_AF: Phase("|t| < gamma", mp.inf, 1, _f_af),
 }
 PHASES = tuple(PHASE_TABLE)
@@ -137,9 +137,9 @@ def phase_params(phase, t, gamma, p: Precision = Precision()) -> PhaseParams:
     to N^2, so the results, not the inputs, are rounded to bits.  Pass
     decimal strings to keep t and gamma as exact as that.  edge is formed
     from the t and gamma kept, where abs is exact, and rounded once; the
-    point is in its region exactly when edge > 0 and 0 < 2|gamma| < bound,
-    else PhaseDomainError names the region's inequality.  zeta is t/gamma
-    of the inputs, kept to bits + 64.
+    point is in its region exactly when edge > 0 and
+    0 < 2|gamma| < bound * pi, else PhaseDomainError names the region's
+    inequality.  zeta is t/gamma of the inputs, kept to bits + 64.
     """
     phase = phase.lower()
     if phase not in PHASES:
@@ -151,7 +151,7 @@ def phase_params(phase, t, gamma, p: Precision = Precision()) -> PhaseParams:
         t, gamma = rounded(t_in, pw), rounded(g_in, pw)
         with p.work(64):
             edge = t - abs(gamma) if phase == PHASE_FE else gamma - abs(t)
-        if not (edge > 0 and 0 < 2 * abs(gamma) < bound):
+        if not (edge > 0 and 0 < 2 * abs(gamma) < bound * pi):
             raise PhaseDomainError(f"{phase} phase requires {region}")
         zeta = rounded(t_in / g_in, pw)
     return PhaseParams(phase, t, gamma, zeta, edge)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 from mpmath import mpf
@@ -21,31 +22,23 @@ from .precision import Precision, rounded
 MAX_ENUM_N = 10
 
 # Edge conventions: horizontal True = arrow points right, vertical True =
-# arrow points up.  A vertex sees (h_left, h_right, v_above, v_below); the six
-# ice-rule patterns split into the two a-type, two b-type and two c-type
-# vertices.  The labeling is pinned functionally by Z_1 = c and
-# Z_2 = c^2 (a^2 + b^2), both asserted in the tests.
-_A_TYPE = {(True, True, True, True), (False, False, False, False)}
-_B_TYPE = {(True, True, False, False), (False, False, True, True)}
-_C_TYPE = {(True, False, True, False), (False, True, False, True)}
-_VERTEX_KIND = {}
-for _pat in _A_TYPE:
-    _VERTEX_KIND[_pat] = 0
-for _pat in _B_TYPE:
-    _VERTEX_KIND[_pat] = 1
-for _pat in _C_TYPE:
-    _VERTEX_KIND[_pat] = 2
+# arrow points up.  A vertex sees (h_left, h_right, v_above, v_below) and
+# obeys the ice rule, two arrows in and two out: h_left + v_below ==
+# h_right + v_above.  It is a-type when all four arrows are alike, b-type
+# when the horizontal arrow keeps its direction and both vertical arrows
+# take the other one, and c-type when the horizontal arrow flips.  The
+# labeling is pinned functionally by Z_1 = c and Z_2 = c^2 (a^2 + b^2), both
+# asserted in the tests.
 
 # (h_left, v_above, last column, last row) -> list of (h_right, v_below, kind);
 # the right boundary arrows exit and the bottom boundary arrows enter (up)
-_CHOICES = {}
-for _pat, _kind in _VERTEX_KIND.items():
-    for _last_col in (False, True):
-        for _last_row in (False, True):
-            _key = (_pat[0], _pat[2], _last_col, _last_row)
-            _CHOICES.setdefault(_key, [])
-            if (_pat[1] or not _last_col) and (_pat[3] or not _last_row):
-                _CHOICES[_key].append((_pat[1], _pat[3], _kind))
+_CHOICES = {
+    (h_left, v_above, last_col, last_row): [
+        (h_right, v_below, 2 if h_left != h_right else int(v_above != h_left))
+        for h_right in (False, True) for v_below in (False, True)
+        if h_left + v_below == h_right + v_above
+        and (h_right or not last_col) and (v_below or not last_row)]
+    for h_left, v_above, last_col, last_row in product((False, True), repeat=4)}
 
 _UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 

@@ -32,7 +32,7 @@ from sixvertex import (CutoffTooSmallError, DegenerateGeometryError,
                        subleading_AF_fit, smooth_fit_D, tau_sequence,
                        partition_Z, weights_from)
 from sixvertex.asymptotics import freenergy
-from sixvertex.asymptotics.resolvent import _af_omega
+from sixvertex.asymptotics.resolvent import _af_omega, _band_integral
 from sixvertex.precision import rounded
 
 P = Precision(256)
@@ -634,6 +634,28 @@ class TestDensity:
         for mu in ("0.1", "0.3", "0.45"):
             assert abs(rho_at(prm, geom, mpf(mu), P96) - 1) < mpf("1e-6")
         assert abs(density_normalization(prm, geom, P96) - 1) < mpf("1e-8")
+        assert rho_at(prm, geom, 0, P96) == 1
+
+    @pytest.mark.parametrize("phase,t,gamma,at_ends", [
+        ("fe", "1.5", "0.4", (1, 0)),   # fe's lower end 0 is on its plateau
+        ("d", "0.3", "1.0", (0, 0)),
+        ("af", "0.3", "1.0", (0, 0))])
+    def test_values_at_both_support_ends(self, phase, t, gamma, at_ends):
+        prm = _params(phase, t, gamma, P96)
+        geom = endpoints(prm, P96)
+        for end, rho in zip(geom.support, at_ends):
+            assert rho_at(prm, geom, end, P96) == rho
+
+    @pytest.mark.parametrize("gamma,bits", [("100", 96), ("200", 96),
+                                            ("400", 256)])
+    def test_af_core_is_the_bound_at_large_gamma(self, gamma, bits):
+        # deep in af beta - beta' rounds to zero: the core value is the
+        # geometry's bound, formed without any band integral
+        p = Precision(bits)
+        prm = _params("af", "0", gamma, p)
+        geom = endpoints(prm, p)
+        with mp.workprec(bits + 32):
+            assert rho_at(prm, geom, 0, p) == rounded(1 / (2 * mpf(gamma)), p)
 
     def test_d_norm_and_positivity(self):
         prm = _params("d", "0.3", "1.0", P96)
@@ -701,7 +723,9 @@ class TestDensity:
             with mp.workprec(544):
                 assert abs(r256 - r512) < tol * r512
         with mp.workprec(288):
-            assert abs(rho_at(prm, geom, gap, P) - mpf(1) / 2) < tol
+            # either full band is pi/(2 gamma), the core's bound
+            full = _band_integral(roots, be, bep)
+            assert abs(full / pi - mpf(1) / 2) < tol
             # rho_at integrates from a band's free end; from its saturated
             # end, rho = 1/(2 gamma) - the cut integral from mu to that end / pi
             for mu, a, b in ((inner, inner, alp), (outer, bep, outer)):
@@ -922,8 +946,12 @@ class TestFits:
         ratios, spread_hi = subleading_AF_fit(taus, prm, p)
         lower, spread_lo = subleading_AF_fit(taus[:8], prm, p)
         assert spread_hi < spread_lo
-        # control: without the theta factor the sequence keeps oscillating
-        _, spread_ctl = subleading_AF_fit(taus, prm, p, subtract_theta=False)
+        # control: without the theta factor, log|tau_N/c_N| - N^2 f keeps
+        # oscillating
+        with mp.workprec(352):
+            f = bulk_f(prm, Precision(352)).f
+            raw = [log(abs(tv.scaled_tau)) - tv.n ** 2 * f for tv in taus]
+        spread_ctl = max(raw[7:]) - min(raw[7:])   # N = 9..16, the top half
         assert spread_ctl > mpf("1.5") * spread_hi
 
     def test_d_kappa_stable_across_windows(self):

@@ -382,6 +382,14 @@ def test_check_derivative_af_at_large_gamma(capsys):
     assert "chemical_potential_residual" in out and "FAIL" not in out
 
 
+def test_af_density_core_at_large_gamma(capsys):
+    # beta - beta' rounds to zero at 96 bits; the core reads the bound
+    code, out, err = run(["density", "--phase", "af", "--gamma", "100",
+                          "--zeta", "0", "--grid", "2", "--bits", "96"], capsys)
+    assert code == 0 and "Traceback" not in err
+    assert out.splitlines()[1:] == ["-50.0,0.005,1", "50.0,0.005,1"]
+
+
 def test_fit_refuses_fewer_than_four_values(capsys):
     code, out, err = run(["fit", "--phase", "af", "--gamma", "1", "--zeta",
                           "0", "--n", "5..7"], capsys)

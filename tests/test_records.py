@@ -21,9 +21,8 @@ def _records():
         "Precision": P,
         "PhaseParams": prm,
         "Weights": weights_from(prm, P),
-        # af's bound is an mpf; d's is mpmath's lazy pi, which pickle
-        # cannot name
-        "Phase": PHASE_TABLE["af"],
+        # d's bound is 1 (a multiple of pi), fe's and af's mp.inf
+        "Phase": PHASE_TABLE["d"],
         "TauValue": tau_sequence(prm, 3, P)[-1],
         "EllipticData": elliptic_data_from_gamma(mpf(1), P),
         "EnumResult": enumerate_dwbc(3),
@@ -49,6 +48,7 @@ def test_record_is_immutable_value_equal_hashable_and_picklable(name):
 def test_phase_table_entries_are_value_equal():
     for phase in PHASE_TABLE.values():
         assert Phase(*phase) == phase and hash(Phase(*phase)) == hash(phase)
+        assert pickle.loads(pickle.dumps(phase)) == phase
 
 
 def test_precision_default_and_floor():
